@@ -1,10 +1,11 @@
 //! Fleet throughput sweep and the CI perf gate.
 //!
 //! Default run: batch-enrolls a 1000-device fleet, establishes every
-//! pair at message granularity over the simnet transport (handshakes
-//! interleaved on the virtual timeline, sharded across host threads),
-//! then reports host wall-clock and simulated throughput, plus the
-//! legacy atomic lifecycle and per-board sweeps.
+//! pair at message granularity over a private CAN-FD link per pair
+//! (`TransportKind::SharedBus { group: 1 }`; handshakes run as
+//! virtual-time events, sharded across host threads), then reports
+//! host wall-clock and simulated throughput, plus the full lifecycle
+//! (rekey epochs included) and per-board sweeps.
 //!
 //! ```sh
 //! cargo run --release --bin fleet
@@ -19,8 +20,11 @@
 //! baseline is given — fails if host handshake throughput regressed
 //! more than `--gate-pct` percent (and, for baselines that record
 //! `peak_rss_bytes`, if peak RSS exceeded the baseline by the same
-//! margin). Regenerate the committed baseline on a CI-class runner with
-//! `--write-baseline ci/BENCH_fleet_baseline.json`.
+//! margin). When the run's devices, shards and seed equal the
+//! baseline's, the report itself is gated too: any difference in
+//! `key_digest`, `virtual_makespan_us`, `messages`, `wire_bytes` or
+//! `can_frames` fails the run. Regenerate the committed baseline on a
+//! CI-class runner with `--write-baseline ci/BENCH_fleet_baseline.json`.
 //!
 //! ```sh
 //! # Million-device tier: bounded-memory streaming sweep + RSS gate
@@ -33,7 +37,7 @@
 //! lazily inside the sweep and resident state is bounded by the
 //! admission window, so the run completes in a flat memory profile that
 //! `peak_rss_bytes` records. Reports stay bit-identical to the
-//! materialized path for any thread count and window.
+//! materialized sweep for any thread count and window.
 //!
 //! `--scenario <name>` runs one named adversarial scenario from the
 //! shared-bus fault catalog against the BMS charging fleet and reports
@@ -163,6 +167,15 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
+/// Sweep options for `threads` workers: a private CAN-FD link per
+/// pair, no faults, the requested admission window.
+fn sweep_options(args: &Args, threads: usize) -> SweepOptions {
+    SweepOptions::new()
+        .threads(threads)
+        .transport(TransportKind::SharedBus { group: 1 })
+        .max_inflight(args.max_inflight)
+}
+
 fn config(args: &Args) -> FleetConfig {
     FleetConfig::new()
         .devices(args.devices)
@@ -178,10 +191,7 @@ fn config(args: &Args) -> FleetConfig {
 /// not establishment alone, so mega numbers gate against their own
 /// baseline.
 fn interleaved_run(args: &Args, threads: usize) -> (FleetReport, f64) {
-    let opts = SweepOptions::new()
-        .threads(threads)
-        .transport(TransportKind::Simnet)
-        .max_inflight(args.max_inflight);
+    let opts = sweep_options(args, threads);
     let mut fleet = FleetCoordinator::new(config(args));
     if args.mega {
         let t = Instant::now();
@@ -236,9 +246,10 @@ fn bench_json(
     )
 }
 
-/// Pulls `"<key>": <number>` out of a baseline file (hand-rolled: the
-/// workspace carries no JSON dependency).
-fn baseline_field(path: &str, key: &str) -> Result<f64, String> {
+/// Pulls the scalar value of `"<key>": <value>` out of a baseline file,
+/// without quotes (hand-rolled: the workspace carries no JSON
+/// dependency).
+fn baseline_value(path: &str, key: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let needle = format!("\"{key}\":");
     let at = text
@@ -249,14 +260,62 @@ fn baseline_field(path: &str, key: &str) -> Result<f64, String> {
         .split(|c: char| c == ',' || c == '}' || c.is_whitespace())
         .next()
         .unwrap_or_default();
-    rest.parse()
+    Ok(rest.trim_matches('"').to_string())
+}
+
+/// Pulls `"<key>": <number>` out of a baseline file.
+fn baseline_field(path: &str, key: &str) -> Result<f64, String> {
+    baseline_value(path, key)?
+        .parse()
         .map_err(|e| format!("{path}: bad {key} number: {e}"))
+}
+
+/// The report gate: when the run's devices, shards and seed equal the
+/// baseline's, every deterministic report field the baseline records
+/// must match exactly. Returns the mismatches (empty when they match
+/// or when the run is not comparable).
+fn report_mismatches(path: &str, args: &Args, report: &FleetReport) -> Result<Vec<String>, String> {
+    let run = [
+        ("devices", args.devices.to_string()),
+        ("shards", args.shards.to_string()),
+        ("seed", args.seed.to_string()),
+    ];
+    for (key, value) in &run {
+        if baseline_value(path, key)? != *value {
+            println!("  report gate: skipped (baseline {key} differs from this run's)");
+            return Ok(Vec::new());
+        }
+    }
+    let fields = [
+        (
+            "key_digest",
+            report.key_digest.map(|d| hex(&d)).unwrap_or_default(),
+        ),
+        (
+            "virtual_makespan_us",
+            report.handshake_makespan_us.to_string(),
+        ),
+        ("messages", report.messages.to_string()),
+        ("wire_bytes", report.wire_bytes.to_string()),
+        ("can_frames", report.can_frames.to_string()),
+    ];
+    let mut mismatches = Vec::new();
+    for (key, value) in fields {
+        let expected = baseline_value(path, key)?;
+        if expected != value {
+            mismatches.push(format!("{key}: {value} (baseline {expected})"));
+        }
+    }
+    if mismatches.is_empty() {
+        println!("  report gate: key digest, makespan, messages, bytes and frames match {path}");
+    }
+    Ok(mismatches)
 }
 
 /// CI smoke: thread-count determinism check + artifact + perf/RSS gates.
 fn smoke(args: &Args) -> ExitCode {
     println!(
-        "fleet smoke: {} devices, {} shards, {} simnet sweep, threads {:?}",
+        "fleet smoke: {} devices, {} shards, {} CAN-FD sweep, threads {:?}",
         args.devices,
         args.shards,
         if args.mega {
@@ -330,6 +389,20 @@ fn smoke(args: &Args) -> ExitCode {
     }
 
     if let Some(path) = &args.baseline {
+        match report_mismatches(path, args, &report) {
+            Ok(mismatches) if mismatches.is_empty() => {}
+            Ok(mismatches) => {
+                eprintln!(
+                    "REPORT MISMATCH against {path} for the same (devices, shards, seed):\n  {}",
+                    mismatches.join("\n  ")
+                );
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("cannot evaluate report gate: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
         match baseline_field(path, "handshakes_per_sec_host") {
             Ok(floor_src) => {
                 let floor = floor_src * (1.0 - args.gate_pct / 100.0);
@@ -457,10 +530,10 @@ fn full_run(args: &Args) -> ExitCode {
         args.shards, args.batch
     );
 
-    // Interleaved establishment over the simnet transport.
+    // Establishment over a private CAN-FD link per pair.
     let (report, wall) = interleaved_run(args, threads);
     println!(
-        "{} simnet sweep ({threads} host threads, message-granularity events):",
+        "{} CAN-FD sweep ({threads} host threads, message-granularity events):",
         if args.mega {
             "streaming (bounded-memory)"
         } else {
@@ -476,14 +549,14 @@ fn full_run(args: &Args) -> ExitCode {
         report.can_frames,
     );
     println!(
-        "  simulated  : {:8.1} hs/s      (virtual makespan {:.2} s, pairs interleaved)",
+        "  simulated  : {:8.1} hs/s      (virtual makespan {:.2} s, pairs concurrent)",
         report.handshakes_per_virtual_sec(),
         report.handshake_makespan_us as f64 / 1e6,
     );
     if args.mega {
         // The streaming tier never materializes the fleet, so the
-        // atomic-lifecycle and per-board comparisons below (which do)
-        // are out of scope for it.
+        // lifecycle and per-board comparisons below (which do) are out
+        // of scope for it.
         let peak = peak_rss_bytes();
         if peak > 0 {
             println!(
@@ -495,20 +568,21 @@ fn full_run(args: &Args) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Legacy atomic lifecycle (enroll + sweep + rekey epochs).
+    // The full lifecycle: enrollment, establishment, rekey epochs.
+    let opts = sweep_options(args, threads);
     let mut fleet = FleetCoordinator::new(config(args));
     let t = Instant::now();
     fleet.enroll_all().expect("enrollment");
     let enroll_wall = t.elapsed();
     let t = Instant::now();
-    fleet.handshake_sweep().expect("handshakes");
+    fleet.interleaved_sweep(&opts).expect("handshakes");
     let handshake_wall = t.elapsed();
     let t = Instant::now();
-    fleet.run_epochs(args.epochs).expect("rekey epochs");
+    fleet.run_epochs(args.epochs, &opts).expect("rekey epochs");
     let epoch_wall = t.elapsed();
 
     let r = fleet.report().clone();
-    println!("\nhost wall-clock, atomic lifecycle (real cryptography, all boards interleaved):");
+    println!("\nhost wall-clock, full lifecycle (real cryptography, all boards interleaved):");
     println!(
         "  enrollment : {:8.0} enroll/s  ({} devices in {:.2?}, {} batches)",
         r.enrolled as f64 / enroll_wall.as_secs_f64(),

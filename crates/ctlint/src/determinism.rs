@@ -7,11 +7,12 @@
 //! consult a source of nondeterminism.
 //!
 //! **Roots.** Taint seeds from the report-affecting entry points — the
-//! sweep drivers (`interleaved_sweep`, `run_sweep`, `run_worker`,
-//! `handshake_sweep`, `run_epochs`, `run_lifecycle`, `enroll_all`),
-//! report/scenario finalization (`finalize`), and every method of the
-//! shared-bus / fault / report types (`SharedBus`, `FaultSpec`,
-//! `FaultPlan`, `FleetReport`, `FleetCoordinator`, `Scenario`). The
+//! sweep entry points and the engine (`interleaved_sweep`,
+//! `streaming_sweep`, `run_sweep`, `run_worker`, `run_epochs`,
+//! `run_lifecycle`, `enroll_all`), report/scenario finalization
+//! (`finalize`), and every method of the shared-bus / fault / report
+//! types (`SharedBus`, `FaultSpec`, `FaultPlan`, `FleetReport`,
+//! `ReportFold`, `FleetCoordinator`, `Scenario`). The
 //! cone is the transitive closure over the shared name-resolved call
 //! graph.
 //!
@@ -60,9 +61,9 @@ pub const CLASSES: &[&str] = &[
 /// Report-affecting root functions (simple names).
 pub const ROOT_FNS: &[&str] = &[
     "interleaved_sweep",
+    "streaming_sweep",
     "run_sweep",
     "run_worker",
-    "handshake_sweep",
     "run_epochs",
     "run_lifecycle",
     "enroll_all",
@@ -75,6 +76,7 @@ pub const ROOT_TYPES: &[&str] = &[
     "FaultSpec",
     "FaultPlan",
     "FleetReport",
+    "ReportFold",
     "FleetCoordinator",
     "Scenario",
 ];

@@ -9,7 +9,8 @@
 //! this) or carries a justified allowlist entry naming the invariant
 //! that makes it unreachable.
 //!
-//! **Roots.** The sweep drivers (`interleaved_sweep`, `run_sweep`,
+//! **Roots.** The sweep entry points and the engine
+//! (`interleaved_sweep`, `streaming_sweep`, `run_epochs`, `run_sweep`,
 //! `run_worker`) and every `step` implementation (the `Endpoint::step`
 //! message pump). The cone is the transitive closure over the shared
 //! name-resolved call graph.
@@ -53,6 +54,8 @@ pub const CLASSES: &[&str] = &["panic-unwrap", "panic-macro", "panic-index", "pa
 /// daemon's per-connection worker, which faces untrusted socket bytes.
 pub const ROOT_FNS: &[&str] = &[
     "interleaved_sweep",
+    "streaming_sweep",
+    "run_epochs",
     "run_sweep",
     "run_worker",
     "step",

@@ -1,19 +1,21 @@
-//! The fleet coordinator: batch enrollment, concurrent handshakes and
-//! policy-driven rekey epochs over the deterministic scheduler.
+//! The fleet coordinator: batch enrollment, then establishment and
+//! rekey epochs as message-granularity sweeps on the one sweep engine
+//! ([`crate::interleave`]).
 
 use crate::device::SimDevice;
 use crate::interleave::{self, DeliveryRecord, SessionResult, SessionWork, SweepOptions};
 use crate::pool::CaPool;
 use crate::report::FleetReport;
-use crate::scheduler::{micros_from_ms, EventScheduler, VirtualTime};
+use crate::scheduler::{micros_from_ms, VirtualTime};
 use crate::FleetError;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{CertError, RevocationList};
 use ecq_crypto::sha256::Sha256;
 use ecq_crypto::HmacDrbg;
 use ecq_devices::{DevicePreset, DeviceProfile};
-use ecq_proto::{Credentials, ProtocolError, ProtocolKind, SessionKey};
-use ecq_sts::{RekeyPolicy, SessionManager, StsConfig, StsVariant};
+use ecq_proto::{Credentials, ProtocolError, SessionKey};
+use ecq_simnet::{FaultCounters, FrameRecord};
+use ecq_sts::{RekeyPolicy, StsVariant};
 use std::collections::VecDeque;
 
 /// Parameters of a fleet run. Everything — device count, sharding,
@@ -120,34 +122,26 @@ impl FleetConfig {
     }
 }
 
-/// Per-pair sweep material prepared at session creation, index-aligned
-/// with the coordinator's sessions: the wire seed plus the credential
-/// clones and presets the interleaved sweep moves into its endpoints
-/// (so the sweep never has to look devices up again).
-struct PairMaterial {
-    seed: [u8; 32],
-    creds_a: Credentials,
-    creds_b: Credentials,
-    preset_a: DevicePreset,
-    preset_b: DevicePreset,
-}
-
-/// One managed pair session between two enrolled devices of the same
-/// shard.
+/// One pair session between two enrolled devices of the same shard.
 pub struct PairSession {
     /// Roster index of the initiating device.
     pub a: usize,
     /// Roster index of the responding device.
     pub b: usize,
-    manager: SessionManager,
+    /// The pair seed: establishment's wire seed, and the root every
+    /// rekey epoch's wire seed derives from.
+    seed: [u8; 32],
+    rekeys: u64,
     last_key: Option<SessionKey>,
     failure: Option<FleetError>,
 }
 
 impl PairSession {
-    /// Completed handshakes of this session.
+    /// Rekey handshakes this session completed in
+    /// [`FleetCoordinator::run_epochs`] (the initial establishment is
+    /// not a rekey).
     pub fn rekey_count(&self) -> u64 {
-        self.manager.rekey_count()
+        self.rekeys
     }
 
     /// The most recent session key, once established.
@@ -161,16 +155,6 @@ impl PairSession {
     pub fn failure(&self) -> Option<&FleetError> {
         self.failure.as_ref()
     }
-}
-
-enum EnrollEvent {
-    /// The shard's CA starts its next `issue_batch`.
-    Batch { shard: usize },
-}
-
-enum SessionEvent {
-    Handshake { session: usize },
-    RekeyTick { session: usize },
 }
 
 /// Drives N simulated devices through the full paper lifecycle —
@@ -196,10 +180,12 @@ pub struct FleetCoordinator {
     shard_rngs: Vec<HmacDrbg>,
     session_rng: HmacDrbg,
     sessions: Vec<PairSession>,
+    /// Rekey epochs run so far.
+    epochs: u32,
     gateway: DeviceProfile,
     crl: RevocationList,
     last_deliveries: Vec<DeliveryRecord>,
-    last_frame_logs: Vec<(usize, Vec<ecq_simnet::FrameRecord>)>,
+    last_frame_logs: Vec<(usize, Vec<FrameRecord>)>,
     report: FleetReport,
 }
 
@@ -236,6 +222,7 @@ impl FleetCoordinator {
             shard_rngs,
             session_rng: HmacDrbg::new(&master.bytes32(), b"fleet-sessions"),
             sessions: Vec::new(),
+            epochs: 0,
             gateway: DevicePreset::RaspberryPi4.profile(),
             crl: RevocationList::new(),
             last_deliveries: Vec::new(),
@@ -261,7 +248,7 @@ impl FleetCoordinator {
         self.report.per_preset.insert(preset, self.devices.len());
     }
 
-    /// The pair sessions created by [`Self::handshake_sweep`].
+    /// The pair sessions created by [`Self::interleaved_sweep`].
     pub fn sessions(&self) -> &[PairSession] {
         &self.sessions
     }
@@ -269,41 +256,6 @@ impl FleetCoordinator {
     /// The running report.
     pub fn report(&self) -> &FleetReport {
         &self.report
-    }
-
-    /// Virtual CA-side cost of issuing one certificate on the gateway:
-    /// the `k·G` blinding (keygen), the serial draw, and the two-block
-    /// certificate hash.
-    fn issue_cost_ms(&self) -> f64 {
-        let c = &self.gateway.costs;
-        c.keygen_ms + c.rng32_ms + 2.0 * c.hash_block_ms
-    }
-
-    /// Virtual device-side cost of finishing an enrollment on `preset`:
-    /// request keygen, eq. (1) public-key reconstruction, and the
-    /// `d_U·G` possession check.
-    fn reconstruct_cost_ms(preset: DevicePreset) -> f64 {
-        let c = preset.profile().costs;
-        2.0 * c.keygen_ms + c.recon_ms
-    }
-
-    /// Virtual duration of one STS handshake between two presets: the
-    /// paper's Table I pair time for the configured variant, gated by
-    /// the slower board.
-    fn handshake_cost_ms(&self, a: DevicePreset, b: DevicePreset) -> f64 {
-        let kind = match self.config.variant {
-            StsVariant::Conventional => ProtocolKind::Sts,
-            StsVariant::OptimizationI => ProtocolKind::StsOptI,
-            StsVariant::OptimizationII => ProtocolKind::StsOptII,
-        };
-        a.paper_table1(kind).max(b.paper_table1(kind))
-    }
-
-    /// Deployment-clock seconds corresponding to a virtual timestamp.
-    fn deploy_secs(&self, at: VirtualTime) -> u32 {
-        self.config
-            .valid_from
-            .saturating_add((at / 1_000_000) as u32)
     }
 
     /// Batch-enrolls every device against its CA shard.
@@ -319,88 +271,46 @@ impl FleetCoordinator {
     /// [`FleetError::Cert`] when issuance or reconstruction fails
     /// (impossible for well-formed rosters).
     pub fn enroll_all(&mut self) -> Result<(), FleetError> {
-        // Shard worklists in roster order.
-        let mut worklists: Vec<Vec<usize>> = vec![Vec::new(); self.pool.shard_count()];
-        for d in &self.devices {
-            worklists[d.shard].push(d.index);
+        let mut enroller = Enroller::over(
+            self.config,
+            &self.pool,
+            &self.devices,
+            &self.device_seeds,
+            &mut self.shard_rngs,
+            &self.gateway,
+        );
+        let mut issued = Vec::new();
+        while let Some((_, batch)) = enroller.next_batch()? {
+            issued.extend(batch);
         }
-        let mut cursors = vec![0usize; worklists.len()];
-        let mut scheduler = EventScheduler::new();
-        for (shard, list) in worklists.iter().enumerate() {
-            if !list.is_empty() {
-                scheduler.schedule_at(0, EnrollEvent::Batch { shard });
+        let (enrolled, batches, makespan) =
+            (enroller.enrolled, enroller.batches, enroller.makespan);
+        for (i, _, creds) in issued {
+            if let Some(d) = self.devices.get_mut(i) {
+                d.credentials = Some(Box::new(creds));
             }
         }
-        let per_cert_us = micros_from_ms(self.issue_cost_ms());
-        let mut makespan: VirtualTime = 0;
-        while let Some((at, EnrollEvent::Batch { shard })) = scheduler.next_event() {
-            let list = &worklists[shard];
-            let start = cursors[shard];
-            let end = (start + self.config.enroll_batch.max(1)).min(list.len());
-            let chunk = &list[start..end];
-            cursors[shard] = end;
-
-            // Device side: fresh request secrets from per-device DRBGs.
-            let requesters: Vec<CertRequester> = chunk
-                .iter()
-                .map(|&i| {
-                    let mut rng = HmacDrbg::new(&self.device_seeds[i], b"fleet-requester");
-                    CertRequester::generate(self.devices[i].id, &mut rng)
-                })
-                .collect();
-            let requests: Vec<_> = requesters.iter().map(|r| r.request()).collect();
-
-            // CA side: one amortized batch issuance.
-            let ca = self.pool.shard(shard);
-            let issued = ca.issue_batch(
-                &requests,
-                self.config.valid_from,
-                self.config.valid_to,
-                &mut self.shard_rngs[shard],
-            )?;
-            let ca_done = at + per_cert_us * chunk.len() as VirtualTime;
-
-            // Device side: one shared inversion for the whole batch's
-            // eq. (1) reconstructions (the device-side mirror of
-            // `issue_batch`'s amortized issuance).
-            let keys = CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())?;
-            for ((&i, cert), keys) in chunk.iter().zip(&issued).zip(keys) {
-                self.devices[i].credentials = Some(Box::new(Credentials {
-                    id: self.devices[i].id,
-                    cert: cert.certificate,
-                    keys,
-                    ca_public: ca.public_key(),
-                }));
-                let device_done =
-                    ca_done + micros_from_ms(Self::reconstruct_cost_ms(self.devices[i].preset));
-                makespan = makespan.max(device_done);
-                self.report.enrolled += 1;
-            }
-            self.report.enroll_batches += 1;
-            if cursors[shard] < list.len() {
-                scheduler.schedule_at(ca_done, EnrollEvent::Batch { shard });
-            }
-        }
+        self.report.enrolled = enrolled;
+        self.report.enroll_batches = batches;
         self.report.enroll_makespan_us = makespan;
         Ok(())
     }
 
+    /// The once-only guard both establishment entry points run first:
+    /// a coordinator establishes its sessions exactly once, and a
+    /// streaming sweep enrolls its roster itself.
+    fn check_unswept(&self, streaming: bool) -> Result<(), FleetError> {
+        if self.report.key_digest.is_some() || (streaming && self.report.enrolled > 0) {
+            return Err(FleetError::AlreadySwept);
+        }
+        Ok(())
+    }
+
     /// Pairs consecutive enrolled devices within each shard, creating
-    /// one managed session per pair; per-pair seeds are drawn from the
-    /// session DRBG in session-index order (so RNG streams do not
-    /// depend on how a later sweep shards work across threads).
-    /// Returns the per-pair sweep material (seed, credential clones and
-    /// presets), index-aligned with `self.sessions`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when sessions already exist: each coordinator runs
-    /// exactly one establishment sweep (atomic or interleaved).
-    fn create_sessions(&mut self) -> Vec<PairMaterial> {
-        assert!(
-            self.sessions.is_empty(),
-            "an establishment sweep runs once per coordinator"
-        );
+    /// one session per pair; pair seeds are drawn from the session
+    /// DRBG in session-index order (so RNG streams do not depend on how
+    /// a later sweep shards work across threads).
+    fn create_sessions(&mut self) {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.pool.shard_count()];
         for d in &self.devices {
             if let Some(list) = by_shard.get_mut(d.shard) {
@@ -409,52 +319,19 @@ impl FleetCoordinator {
                 }
             }
         }
-        let mut material = Vec::new();
         for list in &by_shard {
             for pair in list.chunks_exact(2) {
-                let (a, b) = (pair[0], pair[1]);
-                // Draw the seed before any fail-closed skip so later
-                // pairs keep their RNG streams either way.
-                let pair_seed = self.session_rng.bytes32();
-                let creds = |i: usize| {
-                    self.devices
-                        .get(i)
-                        .and_then(|d| d.credentials.clone().map(|c| (*c, d.preset)))
-                };
-                let (Some((creds_a, preset_a)), Some((creds_b, preset_b))) = (creds(a), creds(b))
-                else {
-                    // Unreachable for `by_shard` pairs (enrollment
-                    // checked above); skip the pair rather than panic.
-                    continue;
-                };
-                let manager = SessionManager::new(
-                    creds_a.clone(),
-                    creds_b.clone(),
-                    self.config.rekey,
-                    StsConfig {
-                        now: self.config.valid_from,
-                        variant: self.config.variant,
-                    },
-                    HmacDrbg::new(&pair_seed, b"fleet-pair"),
-                );
                 self.sessions.push(PairSession {
-                    a,
-                    b,
-                    manager,
+                    a: pair[0],
+                    b: pair[1],
+                    seed: self.session_rng.bytes32(),
+                    rekeys: 0,
                     last_key: None,
                     failure: None,
-                });
-                material.push(PairMaterial {
-                    seed: pair_seed,
-                    creds_a,
-                    creds_b,
-                    preset_a,
-                    preset_b,
                 });
             }
         }
         self.report.sessions = self.sessions.len();
-        material
     }
 
     /// Whether either participant of `session` holds a revoked
@@ -462,170 +339,126 @@ impl FleetCoordinator {
     /// checked (missing roster entry or credentials — unreachable for
     /// sessions built by [`Self::create_sessions`]) is treated as
     /// revoked: the denial is the fail-closed outcome.
-    fn session_revoked(&self, session: usize) -> bool {
+    fn session_revoked(&self, session: &PairSession) -> bool {
         let revoked = |i: usize| match self.devices.get(i).and_then(|d| d.credentials.as_ref()) {
             Some(c) => self.crl.is_revoked(c.cert.serial),
             None => true,
         };
-        match self.sessions.get(session) {
-            Some(s) => revoked(s.a) || revoked(s.b),
-            None => true,
-        }
+        revoked(session.a) || revoked(session.b)
     }
 
-    /// Pairs devices like [`Self::handshake_sweep`] and establishes
-    /// every pair's first session at **message granularity**: each STS
-    /// wire message is delivered as its own scheduler event over the
-    /// configured transport, so handshakes interleave on the virtual
-    /// timeline, and sessions shard across
-    /// [`SweepOptions::threads`] host workers (the report is
-    /// bit-identical for any thread count — see
-    /// [`crate::interleave`]).
-    ///
-    /// Sessions whose participants are on the revocation list are
-    /// denied ([`ecq_cert::CertError::Revoked`] recorded on the
-    /// session, [`FleetReport::denied_revoked`] counted) while the
-    /// rest of the fleet completes.
-    ///
-    /// With a finite [`SweepOptions::max_inflight`] the sweep routes
-    /// through the streaming scheduler: peak resident state is bounded
-    /// by the admission window, the report stays bit-identical, and
-    /// only the diagnostic per-worker delivery log
-    /// ([`Self::last_deliveries`]) is dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Protocol`] when a non-revocation handshake
-    /// failure occurs (impossible for well-formed rosters).
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after another establishment sweep.
-    pub fn interleaved_sweep(&mut self, opts: &SweepOptions) -> Result<(), FleetError> {
-        let material = self.create_sessions();
-        let now = self.config.valid_from;
-        let denied: Vec<bool> = (0..self.sessions.len())
-            .map(|index| self.session_revoked(index))
-            .collect();
-        let work: Vec<SessionWork> = material
-            .into_iter()
+    /// The deployment clock at the start of rekey epoch `epoch`
+    /// (0 = establishment): one policy age per epoch.
+    fn epoch_now(&self, epoch: u32) -> u32 {
+        self.config
+            .valid_from
+            .saturating_add(epoch.saturating_mul(self.config.rekey.max_age_secs))
+    }
+
+    /// One sweep over every materialized pair session as epoch `epoch`
+    /// (0 = establishment), checked against the CRL now, with the
+    /// collecting sink: each session records its outcome, and the
+    /// delivery and frame logs are kept for inspection.
+    fn sweep_sessions(&mut self, epoch: u32, opts: &SweepOptions) -> ReportFold {
+        let now = self.epoch_now(epoch);
+        let work: Vec<SessionWork> = self
+            .sessions
+            .iter()
             .enumerate()
-            .map(|(index, m)| SessionWork {
-                index,
-                creds_a: m.creds_a,
-                creds_b: m.creds_b,
-                preset_a: m.preset_a,
-                preset_b: m.preset_b,
-                wire_seed: m.seed,
-                now,
-                variant: self.config.variant,
-                // A session with no recorded denial verdict is denied
-                // (fail closed); unreachable for index-aligned work.
-                denied: denied.get(index).copied().unwrap_or(true),
+            .filter_map(|(index, s)| {
+                let creds = |i: usize| {
+                    let d = self.devices.get(i)?;
+                    Some((d.credentials.as_deref()?.clone(), d.preset))
+                };
+                // Both participants are enrolled: sessions pair only
+                // enrolled devices, and credentials are never removed.
+                let ((creds_a, preset_a), (creds_b, preset_b)) = (creds(s.a)?, creds(s.b)?);
+                Some(SessionWork {
+                    index,
+                    creds_a,
+                    creds_b,
+                    preset_a,
+                    preset_b,
+                    wire_seed: epoch_seed(&s.seed, epoch),
+                    now,
+                    variant: self.config.variant,
+                    denied: self.session_revoked(s),
+                })
             })
             .collect();
 
-        let (results, log, bus_traces) = if opts.max_inflight < work.len() {
-            let total = work.len();
-            let mut slots: Vec<Option<SessionResult>> = (0..total).map(|_| None).collect();
-            let traces = interleave::run_sweep_streaming(work.into_iter(), total, opts, |i, r| {
-                if let Some(slot) = slots.get_mut(i) {
-                    *slot = Some(r);
+        let mut fold = ReportFold::default();
+        let (mut deliveries, mut frame_logs) = (Vec::new(), Vec::new());
+        let sessions = &mut self.sessions;
+        interleave::run_sweep(work.into_iter(), sessions.len(), opts, |first, group| {
+            for (j, result) in group.results.into_iter().enumerate() {
+                let outcome = fold.session(first + j, result);
+                let Some(session) = sessions.get_mut(first + j) else {
+                    continue; // unreachable: results are index-aligned
+                };
+                match outcome {
+                    Ok(key) => {
+                        session.last_key = Some(key);
+                        session.rekeys += u64::from(epoch > 0);
+                    }
+                    Err(e) => session.failure = Some(e),
                 }
-            });
-            let results: Vec<SessionResult> = slots
-                .into_iter()
-                .map(|slot| {
-                    slot.unwrap_or_else(|| {
-                        // A group lost to a dead worker fails closed.
-                        let mut r = SessionResult::empty();
-                        r.failure = Some(ProtocolError::Poisoned);
-                        r
-                    })
-                })
-                .collect();
-            (results, Vec::new(), traces)
-        } else {
-            interleave::run_sweep(work, opts)
-        };
-        self.last_deliveries = log;
-        for trace in &bus_traces {
-            self.report.faults.dropped += trace.counters.dropped;
-            self.report.faults.corrupted += trace.counters.corrupted;
-            self.report.faults.duplicated += trace.counters.duplicated;
-            self.report.faults.held_back += trace.counters.held_back;
-            self.report.faults.delayed += trace.counters.delayed;
-            self.report.faults.replayed += trace.counters.replayed;
-            self.report.faults.storm_frames += trace.counters.storm_frames;
-            self.report.faults.isotp_errors += trace.counters.isotp_errors;
-            self.report.faults.messages_lost += trace.counters.messages_lost;
-        }
-        self.last_frame_logs = bus_traces.into_iter().map(|t| (t.bus, t.frames)).collect();
-
-        let mut digest = Sha256::new();
-        let mut makespan: VirtualTime = 0;
-        let mut first_failure: Option<FleetError> = None;
-        for (index, result) in results.into_iter().enumerate() {
-            let Some(session) = self.sessions.get_mut(index) else {
-                // A result for a session that does not exist: nothing
-                // to record it on (unreachable for index-aligned work).
-                continue;
-            };
-            digest.update(&(index as u64).to_be_bytes());
-            // A session's outcome: denial beats everything, then the
-            // sweep's typed failure, then the key. A "completed"
-            // session without a key lost its state somewhere — it
-            // fails closed as poisoned instead of panicking.
-            let failure = if denied.get(index).copied().unwrap_or(true) {
-                self.report.denied_revoked += 1;
-                session.failure = Some(FleetError::Protocol(ProtocolError::Cert(
-                    CertError::Revoked,
-                )));
-                digest.update(b"denied:revoked");
-                None
-            } else if let Some(err) = result.failure {
-                Some(err)
-            } else if let Some(key) = result.key {
-                session.last_key = Some(key);
-                digest.update(key.as_bytes());
-                self.report.handshakes += 1;
-                None
-            } else {
-                Some(ProtocolError::Poisoned)
-            };
-            if let Some(err) = failure {
-                session.failure = Some(FleetError::Protocol(err));
-                first_failure.get_or_insert(FleetError::Protocol(err));
-                if err == ProtocolError::Timeout {
-                    self.report.timeouts += 1;
-                }
-                if err == ProtocolError::Poisoned {
-                    self.report.poisoned += 1;
-                }
-                // The failure *mode* is part of the determinism
-                // witness: a run that times out where another saw an
-                // authentication failure must not digest equal.
-                digest.update(b"failed:");
-                digest.update(err.to_string().as_bytes());
             }
-            makespan = makespan.max(result.end_us);
-            self.report.messages += result.messages;
-            self.report.wire_bytes += result.wire_bytes;
-            self.report.can_frames += result.frames;
-        }
-        self.report.handshake_makespan_us = makespan;
-        self.report.key_digest = Some(digest.finalize());
-        match first_failure {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
+            deliveries.extend(group.deliveries);
+            for bus in group.buses {
+                fold.faults += bus.counters;
+                frame_logs.push((bus.bus, bus.frames));
+            }
+        });
+        self.last_deliveries = deliveries;
+        self.last_frame_logs = frame_logs;
+        fold
+    }
+
+    /// Records an establishment fold: counts, makespan and key digest.
+    fn finish_establishment(&mut self, fold: ReportFold) -> Result<(), FleetError> {
+        fold.add_counts(&mut self.report);
+        self.report.handshake_makespan_us = fold.end_us;
+        self.report.key_digest = Some(fold.digest.finalize());
+        fold.first_failure.map_or(Ok(()), Err)
+    }
+
+    /// Pairs consecutive enrolled devices within each shard and
+    /// establishes every pair's first session at **message
+    /// granularity**: each STS wire message is delivered as its own
+    /// scheduler event over the configured transport, and bus groups
+    /// shard across [`SweepOptions::threads`] host workers (the report
+    /// is bit-identical for any thread count and any
+    /// [`SweepOptions::max_inflight`] — see [`crate::interleave`]).
+    ///
+    /// Pairing stays intra-shard because the shards are independent
+    /// trust roots: a cross-shard handshake would (correctly) fail
+    /// authentication. Sessions whose participants are on the
+    /// revocation list are denied ([`ecq_cert::CertError::Revoked`]
+    /// recorded on the session, [`FleetReport::denied_revoked`]
+    /// counted) while the rest of the fleet completes.
+    ///
+    /// Runs once per coordinator; later re-establishments happen
+    /// through [`Self::run_epochs`].
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::AlreadySwept`] when an establishment sweep already
+    /// ran; [`FleetError::Protocol`] when a non-revocation handshake
+    /// failure occurs (impossible for well-formed rosters on a clean
+    /// wire).
+    pub fn interleaved_sweep(&mut self, opts: &SweepOptions) -> Result<(), FleetError> {
+        self.check_unswept(false)?;
+        self.create_sessions();
+        let fold = self.sweep_sessions(0, opts);
+        self.finish_establishment(fold)
     }
 
     /// The bounded-memory establishment sweep for million-device
     /// fleets: enrollment, pairing and handshake simulation run as one
     /// pipeline. Pair material is *produced lazily* — each pull
     /// batch-enrolls just enough devices to emit the next pair — and
-    /// streamed through the interleaved scheduler with at most
+    /// streamed through the sweep engine with at most
     /// [`SweepOptions::max_inflight`] sessions resident, so peak memory
     /// scales with the admission window and the roster skeleton, never
     /// with `devices × credentials`.
@@ -633,160 +466,81 @@ impl FleetCoordinator {
     /// The resulting [`FleetReport`] (including the key digest) is
     /// **bit-identical** to [`Self::enroll_all`] +
     /// [`Self::interleaved_sweep`] on the same `(config, seed)`, for
-    /// any thread count and any window: per-shard enrollment chains,
-    /// pairing order, and every DRBG stream are replicated exactly, and
-    /// sessions are pure functions of their own work items (see
-    /// [`crate::interleave`]). What the streaming path does *not* keep
-    /// is the materialized state: the roster stays un-enrolled in
-    /// memory, [`Self::sessions`] stays empty, and the diagnostic
-    /// delivery log is dropped.
+    /// any thread count and any window: both enroll through the same
+    /// per-shard batch chain, pair in the same order and draw every
+    /// DRBG stream identically, and both fold through the same report
+    /// fold. What the streaming path does *not* keep is per-session
+    /// state: the roster stays un-enrolled in memory,
+    /// [`Self::sessions`] stays empty, and each bus group's delivery
+    /// and frame logs are dropped as the group is folded (only its
+    /// fault counters are kept).
     ///
     /// # Errors
     ///
-    /// [`FleetError::Cert`] when enrollment fails,
+    /// [`FleetError::AlreadySwept`] when the coordinator already
+    /// enrolled or swept; [`FleetError::Cert`] when enrollment fails,
     /// [`FleetError::Protocol`] when a non-revocation handshake failure
-    /// occurs (both impossible for well-formed rosters).
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after another establishment sweep.
+    /// occurs (both impossible for well-formed rosters on a clean
+    /// wire).
     pub fn streaming_sweep(&mut self, opts: &SweepOptions) -> Result<(), FleetError> {
-        assert!(
-            self.sessions.is_empty() && self.report.enrolled == 0,
-            "an establishment sweep runs once per coordinator"
+        self.check_unswept(true)?;
+        let (now, variant) = (self.epoch_now(0), self.config.variant);
+        let enroller = Enroller::over(
+            self.config,
+            &self.pool,
+            &self.devices,
+            &self.device_seeds,
+            &mut self.shard_rngs,
+            &self.gateway,
         );
-        let mut worklists: Vec<Vec<usize>> = vec![Vec::new(); self.pool.shard_count()];
-        for d in &self.devices {
-            worklists[d.shard].push(d.index);
-        }
-        let total: usize = worklists.iter().map(|l| l.len() / 2).sum();
-        let per_cert_us = micros_from_ms(self.issue_cost_ms());
+        let total = enroller.worklists.iter().map(|l| l.len() / 2).sum();
         let mut producer = PairProducer {
-            config: self.config,
-            pool: &self.pool,
-            devices: &self.devices,
-            device_seeds: &self.device_seeds,
+            enroller,
             crl: &self.crl,
-            shard_rngs: &mut self.shard_rngs,
             session_rng: &mut self.session_rng,
-            worklists,
-            shard: 0,
-            cursor: 0,
-            shard_time: 0,
-            next_index: 0,
+            now,
+            variant,
             queue: VecDeque::new(),
-            per_cert_us,
-            enrolled: 0,
-            enroll_batches: 0,
-            enroll_makespan: 0,
+            queue_shard: 0,
+            next_index: 0,
             error: None,
         };
-
-        // Streaming aggregation state: exactly the fold the materialized
-        // path runs over its results vector, fed in strict index order.
-        let mut digest = Sha256::new();
-        let mut makespan: VirtualTime = 0;
-        let mut first_failure: Option<FleetError> = None;
-        let mut handshakes: usize = 0;
-        let mut denied_revoked: u64 = 0;
-        let mut timeouts: u64 = 0;
-        let mut poisoned: u64 = 0;
-        let mut messages: u64 = 0;
-        let mut wire_bytes: u64 = 0;
-        let mut can_frames: u64 = 0;
-        let bus_traces =
-            interleave::run_sweep_streaming(&mut producer, total, opts, |index, result| {
-                digest.update(&(index as u64).to_be_bytes());
-                if result.denied {
-                    denied_revoked += 1;
-                    digest.update(b"denied:revoked");
-                } else {
-                    // Denial beats everything, then the typed failure,
-                    // then the key; a keyless "completed" session fails
-                    // closed as poisoned — the materialized fold, with
-                    // `result.denied` standing in for the denial vector.
-                    let failure = if let Some(err) = result.failure {
-                        Some(err)
-                    } else if let Some(key) = result.key {
-                        digest.update(key.as_bytes());
-                        handshakes += 1;
-                        None
-                    } else {
-                        Some(ProtocolError::Poisoned)
-                    };
-                    if let Some(err) = failure {
-                        first_failure.get_or_insert(FleetError::Protocol(err));
-                        if err == ProtocolError::Timeout {
-                            timeouts += 1;
-                        }
-                        if err == ProtocolError::Poisoned {
-                            poisoned += 1;
-                        }
-                        digest.update(b"failed:");
-                        digest.update(err.to_string().as_bytes());
-                    }
-                }
-                makespan = makespan.max(result.end_us);
-                messages += result.messages;
-                wire_bytes += result.wire_bytes;
-                can_frames += result.frames;
-            });
-
-        let enrolled = producer.enrolled;
-        let enroll_batches = producer.enroll_batches;
-        let enroll_makespan = producer.enroll_makespan;
-        let sessions = producer.next_index;
+        let mut fold = ReportFold::default();
+        interleave::run_sweep(&mut producer, total, opts, |first, group| {
+            for (j, result) in group.results.into_iter().enumerate() {
+                let _ = fold.session(first + j, result);
+            }
+            // The group's delivery and frame logs drop here: resident
+            // state stays bounded by the admission window.
+            for bus in &group.buses {
+                fold.faults += bus.counters;
+            }
+        });
+        let e = &producer.enroller;
+        self.report.enrolled = e.enrolled;
+        self.report.enroll_batches = e.batches;
+        self.report.enroll_makespan_us = e.makespan;
+        self.report.sessions = producer.next_index;
         let error = producer.error;
-
-        self.report.enrolled = enrolled;
-        self.report.enroll_batches = enroll_batches;
-        self.report.enroll_makespan_us = enroll_makespan;
-        self.report.sessions = sessions;
-        self.report.handshakes = handshakes;
-        self.report.denied_revoked = denied_revoked;
-        self.report.timeouts = timeouts;
-        self.report.poisoned = poisoned;
-        self.report.messages = messages;
-        self.report.wire_bytes = wire_bytes;
-        self.report.can_frames = can_frames;
-        self.report.handshake_makespan_us = makespan;
-        self.report.key_digest = Some(digest.finalize());
-        for trace in &bus_traces {
-            self.report.faults.dropped += trace.counters.dropped;
-            self.report.faults.corrupted += trace.counters.corrupted;
-            self.report.faults.duplicated += trace.counters.duplicated;
-            self.report.faults.held_back += trace.counters.held_back;
-            self.report.faults.delayed += trace.counters.delayed;
-            self.report.faults.replayed += trace.counters.replayed;
-            self.report.faults.storm_frames += trace.counters.storm_frames;
-            self.report.faults.isotp_errors += trace.counters.isotp_errors;
-            self.report.faults.messages_lost += trace.counters.messages_lost;
-        }
-        self.last_frame_logs = bus_traces.into_iter().map(|t| (t.bus, t.frames)).collect();
-        self.last_deliveries = Vec::new();
-        if let Some(e) = error {
-            return Err(e);
-        }
-        match first_failure {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
+        let swept = self.finish_establishment(fold);
+        error.map_or(swept, Err)
     }
 
-    /// The per-worker message-delivery log of the last
-    /// [`Self::interleaved_sweep`] (diagnostic: shows cross-session
-    /// interleaving at message granularity; ordering is per worker, so
-    /// it is *not* part of the deterministic report).
+    /// The per-session message-delivery log of the last sweep over the
+    /// materialized sessions ([`Self::interleaved_sweep`] or the last
+    /// epoch of [`Self::run_epochs`]), concatenated in bus-group order.
+    /// Diagnostic: it shows cross-session interleaving at message
+    /// granularity on a shared bus (a session on a private link is
+    /// simulated alone, so its deliveries are contiguous).
     pub fn last_deliveries(&self) -> &[DeliveryRecord] {
         &self.last_deliveries
     }
 
-    /// The per-bus frame-schedule logs of the last
-    /// [`Self::interleaved_sweep`] over a shared-bus transport, sorted
-    /// by bus id. Unlike the delivery log, the frame schedule *is*
+    /// The per-bus frame-schedule logs of the last sweep over the
+    /// materialized sessions, in bus-id order. The frame schedule is
     /// deterministic — it is pinned line-by-line by the golden
-    /// shared-bus fixture.
-    pub fn last_frame_logs(&self) -> &[(usize, Vec<ecq_simnet::FrameRecord>)] {
+    /// shared-bus fixture. Streaming sweeps keep none.
+    pub fn last_frame_logs(&self) -> &[(usize, Vec<FrameRecord>)] {
         &self.last_frame_logs
     }
 
@@ -817,170 +571,236 @@ impl FleetCoordinator {
         &mut self.crl
     }
 
-    /// Pairs consecutive enrolled devices within each shard and runs
-    /// every pair's first STS establishment concurrently.
+    /// Runs `epochs` rekey epochs over the established pair sessions.
+    /// Epoch *e* (counting on from earlier calls) starts
+    /// [`RekeyPolicy::max_age_secs`] after the previous one — every
+    /// key has aged out — and is one message-granularity sweep on the
+    /// sweep engine: each pair runs a fresh STS handshake whose wire
+    /// seed derives from its pair seed and *e*, with the deployment
+    /// clock at `valid_from + e·max_age_secs`.
     ///
-    /// Pairing stays intra-shard because the shards are independent
-    /// trust roots: a cross-shard handshake would (correctly) fail
-    /// authentication.
-    ///
-    /// Runs once per coordinator; subsequent re-establishments happen
-    /// through [`Self::run_epochs`], not by sweeping again.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Protocol`] when a handshake fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called a second time (the pair sessions already
-    /// exist and a second sweep would double-count them).
-    pub fn handshake_sweep(&mut self) -> Result<(), FleetError> {
-        self.create_sessions();
-        let mut scheduler = EventScheduler::new();
-        for s in 0..self.sessions.len() {
-            scheduler.schedule_at(0, SessionEvent::Handshake { session: s });
-        }
-        let mut makespan: VirtualTime = 0;
-        while let Some((at, event)) = scheduler.next_event() {
-            let SessionEvent::Handshake { session } = event else {
-                continue;
-            };
-            let now = self.deploy_secs(at);
-            let key = self.sessions[session].manager.key_for(now)?;
-            self.sessions[session].last_key = Some(key);
-            self.report.handshakes += 1;
-            let (pa, pb) = (
-                self.devices[self.sessions[session].a].preset,
-                self.devices[self.sessions[session].b].preset,
-            );
-            makespan = makespan.max(at + micros_from_ms(self.handshake_cost_ms(pa, pb)));
-        }
-        self.report.handshake_makespan_us = makespan;
-        Ok(())
-    }
-
-    /// Runs `epochs` policy-driven rekey rounds: every session gets a
-    /// tick each [`RekeyPolicy::max_age_secs`], and the manager
-    /// transparently re-establishes when the key has aged out.
-    ///
-    /// Sessions with a revoked participant are denied instead of
-    /// rekeyed: the tick records [`ecq_cert::CertError::Revoked`] on
-    /// the session and counts into [`FleetReport::denied_revoked`],
-    /// while every other session proceeds — revoking one device never
-    /// stalls the fleet.
+    /// The CRL is checked at epoch start: sessions with a revoked
+    /// participant are denied instead of rekeyed
+    /// ([`ecq_cert::CertError::Revoked`] recorded on the session,
+    /// counted into [`FleetReport::denied_revoked`]), while every other
+    /// session proceeds — revoking one device never stalls the fleet.
+    /// An epoch adds to the report's rekey, handshake, denial, failure,
+    /// traffic and fault counts and sets
+    /// [`FleetReport::epoch_end_us`]; the establishment key digest and
+    /// makespan are left as they were.
     ///
     /// # Errors
     ///
-    /// [`FleetError::Protocol`] when a rekey handshake fails (e.g. the
-    /// certificates expired before the last epoch).
-    pub fn run_epochs(&mut self, epochs: u32) -> Result<(), FleetError> {
-        let mut scheduler = EventScheduler::new();
-        let age_us = self.config.rekey.max_age_secs as VirtualTime * 1_000_000;
-        for epoch in 1..=epochs as VirtualTime {
-            for s in 0..self.sessions.len() {
-                scheduler.schedule_at(epoch * age_us, SessionEvent::RekeyTick { session: s });
-            }
+    /// The first [`FleetError::Protocol`] a rekey handshake failed with
+    /// (e.g. the certificates expired before the last epoch); the
+    /// remaining sessions and epochs still run.
+    pub fn run_epochs(&mut self, epochs: u32, opts: &SweepOptions) -> Result<(), FleetError> {
+        let mut first_failure = None;
+        for _ in 0..epochs {
+            self.epochs += 1;
+            let epoch = self.epochs;
+            let fold = self.sweep_sessions(epoch, opts);
+            fold.add_counts(&mut self.report);
+            self.report.rekeys += fold.keyed as u64;
+            let start_us = VirtualTime::from(epoch)
+                .saturating_mul(VirtualTime::from(self.config.rekey.max_age_secs))
+                .saturating_mul(1_000_000);
+            self.report.epoch_end_us = start_us.saturating_add(fold.end_us);
+            first_failure = first_failure.or(fold.first_failure);
         }
-        let mut end: VirtualTime = 0;
-        while let Some((at, event)) = scheduler.next_event() {
-            let SessionEvent::RekeyTick { session } = event else {
-                continue;
-            };
-            if self.session_revoked(session) {
-                self.sessions[session].failure = Some(FleetError::Protocol(ProtocolError::Cert(
-                    CertError::Revoked,
-                )));
-                self.report.denied_revoked += 1;
-                end = end.max(at);
-                continue;
-            }
-            let now = self.deploy_secs(at);
-            let before = self.sessions[session].manager.rekey_count();
-            let key = self.sessions[session].manager.key_for(now)?;
-            self.sessions[session].last_key = Some(key);
-            if self.sessions[session].manager.rekey_count() > before {
-                self.report.rekeys += 1;
-                self.report.handshakes += 1;
-                let (pa, pb) = (
-                    self.devices[self.sessions[session].a].preset,
-                    self.devices[self.sessions[session].b].preset,
-                );
-                end = end.max(at + micros_from_ms(self.handshake_cost_ms(pa, pb)));
-            } else {
-                end = end.max(at);
-            }
-        }
-        self.report.epoch_end_us = end;
-        Ok(())
+        first_failure.map_or(Ok(()), Err)
     }
 
-    /// Convenience driver: enrollment, handshake sweep, then `epochs`
-    /// rekey rounds. Returns the final report.
+    /// Convenience driver: enrollment, the establishment sweep, then
+    /// `epochs` rekey epochs, all with [`SweepOptions::default`].
+    /// Returns the final report.
     ///
     /// # Errors
     ///
     /// Propagates any phase failure.
     pub fn run_lifecycle(&mut self, epochs: u32) -> Result<FleetReport, FleetError> {
+        let opts = SweepOptions::default();
         self.enroll_all()?;
-        self.handshake_sweep()?;
-        self.run_epochs(epochs)?;
+        self.interleaved_sweep(&opts)?;
+        self.run_epochs(epochs, &opts)?;
         Ok(self.report.clone())
     }
 }
 
-/// Lazy pair-material source for [`FleetCoordinator::streaming_sweep`]:
-/// each [`Iterator::next`] call emits the next session's work item,
-/// batch-enrolling devices on demand. Shards are processed
-/// sequentially; within a shard the per-batch virtual-time chain
-/// (`shard_time`) is exactly the chain [`FleetCoordinator::enroll_all`]
-/// builds through its event scheduler — enrollment outcomes are
-/// order-independent across shards (per-shard chains never interact;
-/// makespan is a max, counts are sums), so the sequential replay
-/// reproduces the materialized report bit-for-bit.
-///
-/// Peak resident state: one enrollment batch of credentials plus at
-/// most one unpaired leftover — never the roster.
-struct PairProducer<'a> {
+/// The wire seed of a pair's epoch `epoch`: the pair seed itself for
+/// establishment, a DRBG derivation of `(pair seed, epoch)` after.
+fn epoch_seed(pair_seed: &[u8; 32], epoch: u32) -> [u8; 32] {
+    if epoch == 0 {
+        return *pair_seed;
+    }
+    let entropy = [pair_seed.as_slice(), &epoch.to_be_bytes()].concat();
+    HmacDrbg::new(&entropy, b"fleet-epoch").bytes32()
+}
+
+/// The one report fold: sweep results enter in strict session-index
+/// order and accumulate into the key digest, the makespan, the outcome
+/// counters and the traffic totals. Establishment and rekey epochs
+/// differ only in which report fields they write the fold into.
+#[derive(Default)]
+struct ReportFold {
+    /// SHA-256 over every session's outcome (key bytes or failure
+    /// marker) in session-index order.
+    digest: Sha256,
+    /// Latest session end, virtual µs from the sweep start.
+    end_us: VirtualTime,
+    /// Sessions that ended keyed.
+    keyed: usize,
+    denied_revoked: u64,
+    timeouts: u64,
+    poisoned: u64,
+    messages: u64,
+    wire_bytes: u64,
+    can_frames: u64,
+    faults: FaultCounters,
+    /// The first non-denial failure, which the sweep reports.
+    first_failure: Option<FleetError>,
+}
+
+impl ReportFold {
+    /// Folds session `index`'s result; returns its key, or why it has
+    /// none. Denial beats everything, then the sweep's typed failure,
+    /// then the key; a "completed" session without a key lost its state
+    /// somewhere and fails closed as poisoned instead of panicking.
+    fn session(&mut self, index: usize, result: SessionResult) -> Result<SessionKey, FleetError> {
+        self.digest.update(&(index as u64).to_be_bytes());
+        self.end_us = self.end_us.max(result.end_us);
+        self.messages += result.messages;
+        self.wire_bytes += result.wire_bytes;
+        self.can_frames += result.frames;
+        if result.denied {
+            self.denied_revoked += 1;
+            self.digest.update(b"denied:revoked");
+            return Err(FleetError::Protocol(ProtocolError::Cert(
+                CertError::Revoked,
+            )));
+        }
+        let err = match (result.failure, result.key) {
+            (None, Some(key)) => {
+                self.digest.update(key.as_bytes());
+                self.keyed += 1;
+                return Ok(key);
+            }
+            (Some(err), _) => err,
+            (None, None) => ProtocolError::Poisoned,
+        };
+        self.timeouts += u64::from(err == ProtocolError::Timeout);
+        self.poisoned += u64::from(err == ProtocolError::Poisoned);
+        // The failure *mode* is part of the determinism witness: a run
+        // that times out where another saw an authentication failure
+        // must not digest equal.
+        self.digest.update(b"failed:");
+        self.digest.update(err.to_string().as_bytes());
+        let err = FleetError::Protocol(err);
+        self.first_failure.get_or_insert(err);
+        Err(err)
+    }
+
+    /// Adds the counts every sweep contributes to `report`: handshakes,
+    /// denials, failures, traffic and faults.
+    fn add_counts(&self, report: &mut FleetReport) {
+        report.handshakes += self.keyed;
+        report.denied_revoked += self.denied_revoked;
+        report.timeouts += self.timeouts;
+        report.poisoned += self.poisoned;
+        report.messages += self.messages;
+        report.wire_bytes += self.wire_bytes;
+        report.can_frames += self.can_frames;
+        report.faults += self.faults;
+    }
+}
+
+/// One enrolled device: roster index, board and credentials.
+type Enrolled = (usize, DevicePreset, Credentials);
+
+/// The one enrollment body, behind both [`FleetCoordinator::enroll_all`]
+/// and the streaming [`PairProducer`]: shards are enrolled one after
+/// the other, each as a chain of `issue_batch` calls on the virtual
+/// timeline. Per-shard chains never interact (makespan is a max,
+/// counts are sums, each shard draws only its own DRBG), so this
+/// sequential order reproduces concurrently running shards exactly.
+struct Enroller<'a> {
     config: FleetConfig,
     pool: &'a CaPool,
     devices: &'a [SimDevice],
     device_seeds: &'a [[u8; 32]],
-    crl: &'a RevocationList,
-    shard_rngs: &'a mut Vec<HmacDrbg>,
-    session_rng: &'a mut HmacDrbg,
-    /// Shard worklists in roster order (as `enroll_all` builds them).
+    shard_rngs: &'a mut [HmacDrbg],
+    /// Virtual CA time per issued certificate.
+    per_cert_us: VirtualTime,
+    /// Shard worklists in roster order.
     worklists: Vec<Vec<usize>>,
     shard: usize,
     cursor: usize,
-    /// Virtual time the shard's CA becomes free (per-shard batch chain).
+    /// Virtual time the current shard's CA becomes free.
     shard_time: VirtualTime,
-    /// Next global session index to emit (pairs count in shard order).
-    next_index: usize,
-    /// Enrolled-but-unpaired credentials of the current shard, in
-    /// roster order.
-    queue: VecDeque<(Credentials, DevicePreset)>,
-    per_cert_us: VirtualTime,
     enrolled: usize,
-    enroll_batches: usize,
-    enroll_makespan: VirtualTime,
-    /// First enrollment failure; the iterator fuses once set.
-    error: Option<FleetError>,
+    batches: usize,
+    makespan: VirtualTime,
 }
 
-impl PairProducer<'_> {
-    /// Enrolls the current shard's next batch into the queue — the
-    /// streaming replica of one `EnrollEvent::Batch` in
-    /// [`FleetCoordinator::enroll_all`], Montgomery-trick issuance and
-    /// reconstruction included.
-    fn enroll_next_batch(&mut self) -> Result<(), FleetError> {
-        let Some(list) = self.worklists.get(self.shard) else {
-            return Ok(()); // unreachable: the caller bounds `shard`
+impl<'a> Enroller<'a> {
+    fn over(
+        config: FleetConfig,
+        pool: &'a CaPool,
+        devices: &'a [SimDevice],
+        device_seeds: &'a [[u8; 32]],
+        shard_rngs: &'a mut [HmacDrbg],
+        gateway: &DeviceProfile,
+    ) -> Self {
+        // Virtual CA-side cost of issuing one certificate on the
+        // gateway: the `k·G` blinding (keygen), the serial draw, and
+        // the two-block certificate hash.
+        let c = &gateway.costs;
+        let per_cert_us = micros_from_ms(c.keygen_ms + c.rng32_ms + 2.0 * c.hash_block_ms);
+        let mut worklists: Vec<Vec<usize>> = vec![Vec::new(); pool.shard_count()];
+        for d in devices {
+            if let Some(list) = worklists.get_mut(d.shard) {
+                list.push(d.index);
+            }
+        }
+        Enroller {
+            config,
+            pool,
+            devices,
+            device_seeds,
+            shard_rngs,
+            per_cert_us,
+            worklists,
+            shard: 0,
+            cursor: 0,
+            shard_time: 0,
+            enrolled: 0,
+            batches: 0,
+            makespan: 0,
+        }
+    }
+
+    /// Enrolls the next batch — device-side request generation,
+    /// one amortized `issue_batch` on the CA, one shared-inversion
+    /// batch reconstruction — and returns it with its shard, or `None`
+    /// once every shard is done.
+    fn next_batch(&mut self) -> Result<Option<(usize, Vec<Enrolled>)>, FleetError> {
+        let list = loop {
+            match self.worklists.get(self.shard) {
+                None => return Ok(None),
+                Some(list) if self.cursor < list.len() => break list,
+                Some(_) => {
+                    self.shard += 1;
+                    self.cursor = 0;
+                    self.shard_time = 0;
+                }
+            }
         };
+        let shard = self.shard;
         let end = (self.cursor + self.config.enroll_batch.max(1)).min(list.len());
         let chunk = &list[self.cursor..end];
         self.cursor = end;
 
+        // Device side: fresh request secrets from per-device DRBGs.
         let requesters: Vec<CertRequester> = chunk
             .iter()
             .map(|&i| {
@@ -989,86 +809,104 @@ impl PairProducer<'_> {
             })
             .collect();
         let requests: Vec<_> = requesters.iter().map(|r| r.request()).collect();
-        let ca = self.pool.shard(self.shard);
+        let ca = self.pool.shard(shard);
         let issued = ca.issue_batch(
             &requests,
             self.config.valid_from,
             self.config.valid_to,
-            &mut self.shard_rngs[self.shard],
+            &mut self.shard_rngs[shard],
         )?;
         let ca_done = self.shard_time + self.per_cert_us * chunk.len() as VirtualTime;
         let keys = CertRequester::reconstruct_batch(&requesters, &issued, &ca.public_key())?;
+        let mut batch = Vec::with_capacity(chunk.len());
         for ((&i, cert), keys) in chunk.iter().zip(&issued).zip(keys) {
-            let preset = self.devices[i].preset;
-            let device_done =
-                ca_done + micros_from_ms(FleetCoordinator::reconstruct_cost_ms(preset));
-            self.enroll_makespan = self.enroll_makespan.max(device_done);
-            self.enrolled += 1;
-            self.queue.push_back((
+            let device = &self.devices[i];
+            // Device side: request keygen, eq. (1) reconstruction and
+            // the `d_U·G` possession check on the device's board.
+            let c = device.preset.profile().costs;
+            let device_done = ca_done + micros_from_ms(2.0 * c.keygen_ms + c.recon_ms);
+            self.makespan = self.makespan.max(device_done);
+            batch.push((
+                i,
+                device.preset,
                 Credentials {
-                    id: self.devices[i].id,
+                    id: device.id,
                     cert: cert.certificate,
                     keys,
                     ca_public: ca.public_key(),
                 },
-                preset,
             ));
         }
-        self.enroll_batches += 1;
+        self.enrolled += batch.len();
+        self.batches += 1;
         self.shard_time = ca_done;
-        Ok(())
+        Ok(Some((shard, batch)))
     }
+}
+
+/// Lazy pair-material source for [`FleetCoordinator::streaming_sweep`]:
+/// each [`Iterator::next`] call emits the next session's work item,
+/// batch-enrolling devices on demand and pairing consecutive devices of
+/// a shard exactly as [`FleetCoordinator::interleaved_sweep`] pairs the
+/// enrolled roster.
+///
+/// Peak resident state: one enrollment batch of credentials plus at
+/// most one unpaired leftover — never the roster.
+struct PairProducer<'a> {
+    enroller: Enroller<'a>,
+    crl: &'a RevocationList,
+    session_rng: &'a mut HmacDrbg,
+    now: u32,
+    variant: StsVariant,
+    /// Enrolled-but-unpaired devices of `queue_shard`, in roster order.
+    queue: VecDeque<(DevicePreset, Credentials)>,
+    queue_shard: usize,
+    /// Next global session index to emit (pairs count in shard order).
+    next_index: usize,
+    /// First enrollment failure; the iterator fuses once set.
+    error: Option<FleetError>,
 }
 
 impl Iterator for PairProducer<'_> {
     type Item = SessionWork;
 
     fn next(&mut self) -> Option<SessionWork> {
-        loop {
-            if self.error.is_some() {
-                return None;
-            }
-            if self.queue.len() >= 2 {
-                let (creds_a, preset_a) = self.queue.pop_front()?;
-                let (creds_b, preset_b) = self.queue.pop_front()?;
-                // Seed first, then the CRL verdict — the exact order
-                // of `create_sessions` + the sweep's denial pre-check.
-                let pair_seed = self.session_rng.bytes32();
-                let denied = self.crl.is_revoked(creds_a.cert.serial)
-                    || self.crl.is_revoked(creds_b.cert.serial);
-                let index = self.next_index;
-                self.next_index += 1;
-                return Some(SessionWork {
-                    index,
-                    creds_a,
-                    creds_b,
-                    preset_a,
-                    preset_b,
-                    wire_seed: pair_seed,
-                    now: self.config.valid_from,
-                    variant: self.config.variant,
-                    denied,
-                });
-            }
-            let list = self.worklists.get(self.shard)?;
-            if self.cursor >= list.len() {
-                // Shard exhausted: an odd leftover device stays
-                // enrolled-but-unpaired, mirroring the materialized
-                // path's `chunks_exact(2)`.
-                self.queue.clear();
-                self.shard += 1;
-                self.cursor = 0;
-                self.shard_time = 0;
-                if self.shard >= self.worklists.len() {
-                    return None;
+        while self.error.is_none() && self.queue.len() < 2 {
+            match self.enroller.next_batch() {
+                Ok(Some((shard, batch))) => {
+                    if shard != self.queue_shard {
+                        // A shard's odd leftover device stays enrolled
+                        // but unpaired.
+                        self.queue.clear();
+                        self.queue_shard = shard;
+                    }
+                    self.queue
+                        .extend(batch.into_iter().map(|(_, preset, creds)| (preset, creds)));
                 }
-                continue;
-            }
-            if let Err(e) = self.enroll_next_batch() {
-                self.error = Some(e);
-                return None;
+                Ok(None) => return None,
+                Err(e) => self.error = Some(e),
             }
         }
+        if self.error.is_some() {
+            return None;
+        }
+        let (preset_a, creds_a) = self.queue.pop_front()?;
+        let (preset_b, creds_b) = self.queue.pop_front()?;
+        let denied =
+            self.crl.is_revoked(creds_a.cert.serial) || self.crl.is_revoked(creds_b.cert.serial);
+        let index = self.next_index;
+        self.next_index += 1;
+        Some(SessionWork {
+            index,
+            creds_a,
+            creds_b,
+            preset_a,
+            preset_b,
+            wire_seed: self.session_rng.bytes32(),
+            now: self.now,
+            variant: self.variant,
+            denied,
+        })
     }
 }
 
@@ -1106,7 +944,7 @@ mod tests {
     fn handshakes_agree_within_shards_with_distinct_keys() {
         let mut fleet = FleetCoordinator::new(small_config());
         fleet.enroll_all().unwrap();
-        fleet.handshake_sweep().unwrap();
+        fleet.interleaved_sweep(&SweepOptions::default()).unwrap();
         assert!(!fleet.sessions().is_empty());
         assert_eq!(fleet.report().handshakes, fleet.sessions().len());
         let mut keys: Vec<[u8; 32]> = fleet
@@ -1120,7 +958,7 @@ mod tests {
         assert_eq!(keys.len(), n, "every pair derives an independent key");
         for s in fleet.sessions() {
             assert_eq!(fleet.devices[s.a].shard, fleet.devices[s.b].shard);
-            assert_eq!(s.rekey_count(), 1);
+            assert_eq!(s.rekey_count(), 0, "establishment is not a rekey");
         }
     }
 
@@ -1132,7 +970,7 @@ mod tests {
         assert_eq!(report.rekeys, 3 * sessions as u64);
         assert_eq!(report.handshakes, 4 * sessions);
         for s in fleet.sessions() {
-            assert_eq!(s.rekey_count(), 4); // initial + 3 aged epochs
+            assert_eq!(s.rekey_count(), 3); // one per aged epoch
         }
         assert!(report.epoch_end_us > report.handshake_makespan_us);
     }

@@ -1,40 +1,41 @@
-//! Message-granularity handshake sweeps: every wire message is its own
-//! scheduler event, device populations shard across host threads, and
-//! groups of sessions can share one arbitrated CAN-FD bus under a
-//! deterministic fault plan.
+//! The sweep engine: message-granularity handshake simulation, where
+//! every wire message is its own scheduler event, bus groups shard
+//! across host threads, and groups of sessions can share one
+//! arbitrated CAN-FD bus under a deterministic fault plan.
 //!
-//! The atomic sweep ([`crate::FleetCoordinator::handshake_sweep`])
-//! completes a whole handshake inside one scheduler event — nothing can
-//! interleave. This module decomposes each STS establishment into its
-//! four wire messages (`A1 B1 A2 B2`): an endpoint's
-//! [`ecq_proto::Endpoint::step`] runs when its message *arrives*, its
-//! compute time is integrated from the primitive-operation trace it
-//! recorded during that step (against the board's `ecq_devices` cost
-//! table), and the reply goes back to the link, which decides the next
-//! delivery time. A thousand devices' handshakes genuinely interleave
-//! on the virtual timeline, at message granularity.
+//! Each STS establishment decomposes into its four wire messages
+//! (`A1 B1 A2 B2`): an endpoint's [`ecq_proto::Endpoint::step`] runs
+//! when its message *arrives*, its compute time is integrated from the
+//! primitive-operation trace it recorded during that step (against the
+//! board's `ecq_devices` cost table), and the reply goes back to the
+//! link, which decides the next delivery time. Sessions sharing a bus
+//! genuinely interleave on the virtual timeline, at message
+//! granularity.
+//!
+//! `run_sweep` is the only driver. It streams lazily produced work
+//! through a bounded admission window ([`SweepOptions::max_inflight`])
+//! and hands each bus group's outcome to a caller-supplied sink in
+//! group order: an establishment sweep over materialized sessions, a
+//! rekey epoch and a million-device streaming sweep differ only in
+//! the work they feed and the sink they fold with.
 //!
 //! # Parallelism / determinism contract
 //!
-//! With private links ([`TransportKind::Channel`] /
-//! [`TransportKind::Simnet`]) sessions share no simulation state, so a
-//! session's entire result is a pure function of
-//! `(config, seed, session index)` and any shard layout reproduces the
-//! same report.
+//! A bus group — `group` consecutive sessions on one
+//! [`TransportKind::SharedBus`], or a single session on a private
+//! [`TransportKind::Channel`] / [`TransportKind::Socket`] link — shares
+//! no simulation state with any other group, so its entire outcome is
+//! a pure function of its own work items. Three rules keep the
+//! `(config, seed)` report bit-identical for any worker count and any
+//! admission window:
 //!
-//! [`TransportKind::SharedBus`] couples `group` consecutive sessions on
-//! one arbitrated bus, so a bus — not a session — becomes the unit of
-//! independence. Three rules keep the `(config, seed)` report
-//! bit-identical for any worker count even then:
-//!
-//! 1. **Shard by bus, never by pair.** `run_sweep` assigns whole bus
+//! 1. **Shard by bus, never by pair.** `run_sweep` deals whole bus
 //!    groups to workers; a worker *hard-errors* if it receives a
 //!    bus with members missing (a split bus would change arbitration).
 //! 2. **Lane-ordered events.** Each worker's scheduler orders same-time
 //!    events by a global lane key (session index; buses order after all
 //!    sessions), not by insertion order, so the pop order is a function
-//!    of the virtual timeline alone — not of which sessions happen to
-//!    be co-resident in the worker.
+//!    of the virtual timeline alone.
 //! 3. **Pure fault decisions.** Every random fault choice is a
 //!    splitmix64 hash of `(fault seed, bus id, sequence number)` (see
 //!    [`ecq_simnet::fault`]), never a draw from mutable RNG state.
@@ -44,18 +45,18 @@
 //! certificates or keys.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::scheduler::{micros_from_ms, VirtualTime};
+use crate::scheduler::{micros_from_ms, LaneScheduler, VirtualTime};
 use ecq_cert::CertError;
 use ecq_crypto::{ct, HmacDrbg};
 use ecq_devices::{DevicePreset, DeviceProfile};
 use ecq_proto::transport::{ChannelTransport, Transport};
 use ecq_proto::SocketPair;
 use ecq_proto::{Credentials, Endpoint, OpTrace, ProtocolError, Role, SessionKey, StepOutput};
-use ecq_simnet::{ms_to_ns, CanLink, FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
+use ecq_simnet::transport::pair_overheads;
+use ecq_simnet::{FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
 use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
 
 /// Which link implementation carries the handshake messages.
@@ -66,14 +67,12 @@ pub enum TransportKind {
         /// Per-message delivery latency in virtual microseconds.
         latency_us: u64,
     },
-    /// The simulated CAN-FD/ISO-TP stack (`ecq_simnet::CanLink`), one
-    /// private bus per pair, with per-frame driver overhead from the
-    /// pair's board cost tables.
-    Simnet,
     /// One arbitrated CAN-FD bus per `group` consecutive sessions
     /// (`ecq_simnet::SharedBus`): their frames compete for the wire and
-    /// the sweep's [`FaultSpec`] applies. `group = 1` degenerates to a
-    /// private (but fault-injectable) bus per pair.
+    /// the sweep's [`FaultSpec`] applies. Every frame pays per-frame
+    /// driver overhead from its sender's and receiver's board cost
+    /// tables. `group = 1` is a private (but fault-injectable) CAN-FD
+    /// link per pair.
     SharedBus {
         /// Sessions per bus; session `i` rides bus `i / group`.
         group: usize,
@@ -117,10 +116,10 @@ pub struct SweepOptions {
     pub threads: usize,
     /// Link implementation for every pair.
     pub transport: TransportKind,
-    /// Fault schedule applied to shared buses (ignored by private
-    /// links; [`FaultSpec::none`] injects nothing). The spec's
-    /// `deadline_us` bounds the sweep: sessions unfinished at the
-    /// deadline fail closed with [`ProtocolError::Timeout`].
+    /// Fault schedule applied to every CAN-FD bus (ignored by the
+    /// channel and socket links; [`FaultSpec::none`] injects nothing).
+    /// The spec's `deadline_us` bounds the sweep: sessions unfinished
+    /// at the deadline fail closed with [`ProtocolError::Timeout`].
     pub faults: FaultSpec,
     /// Optional mid-sweep revocation with a stale-CRL window.
     pub revocation: Option<RevocationSpec>,
@@ -131,23 +130,23 @@ pub struct SweepOptions {
     /// completes — the regression harness for the sweep's
     /// no-panic contract.
     pub poison: Option<usize>,
-    /// Admission window of the streaming scheduler: at most this many
+    /// Admission window of the sweep engine: at most this many
     /// sessions are resident (queued in worker channels, simulating, or
     /// awaiting in-order aggregation) at any moment, so peak memory
     /// scales with the window instead of the fleet. `usize::MAX` (the
-    /// default) keeps the materialized path. The report is bit-identical
-    /// for any window value — sessions (and whole bus groups) are pure
+    /// default) admits the whole sweep at once. The report is
+    /// bit-identical for any window value — bus groups are pure
     /// functions of their own work items, so admission timing cannot
     /// change their outcome.
     pub max_inflight: usize,
 }
 
 impl Default for SweepOptions {
-    /// One worker over the simnet transport, no faults.
+    /// One worker, a private CAN-FD link per pair, no faults.
     fn default() -> Self {
         SweepOptions {
             threads: 1,
-            transport: TransportKind::Simnet,
+            transport: TransportKind::SharedBus { group: 1 },
             faults: FaultSpec::none(),
             revocation: None,
             poison: None,
@@ -198,8 +197,8 @@ impl SweepOptions {
         self
     }
 
-    /// Bounds the number of sessions resident in the streaming
-    /// scheduler at once (clamped up to one bus group).
+    /// Bounds the number of sessions resident in the sweep engine at
+    /// once (clamped up to one bus group).
     #[must_use]
     pub fn max_inflight(mut self, max_inflight: usize) -> Self {
         self.max_inflight = max_inflight;
@@ -207,9 +206,9 @@ impl SweepOptions {
     }
 }
 
-/// One delivered wire message, in the order a worker's scheduler popped
-/// it (diagnostic evidence of interleaving; not part of the report —
-/// pop order is per-worker and therefore depends on the shard layout).
+/// One delivered wire message, in the order its bus group's scheduler
+/// popped it (diagnostic evidence of interleaving on a shared bus; not
+/// part of the report).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeliveryRecord {
     /// Global session index the message belongs to.
@@ -246,8 +245,8 @@ pub(crate) struct SessionResult {
     pub wire_bytes: u64,
     pub frames: u64,
     /// The session was denied by the CRL check before kickoff. Carried
-    /// in the result so streaming aggregation (which holds no
-    /// per-session state of its own) can classify the outcome.
+    /// in the result so the report fold (which holds no per-session
+    /// state of its own) can classify the outcome.
     pub denied: bool,
 }
 
@@ -273,18 +272,13 @@ pub(crate) struct BusTrace {
     pub frames: Vec<FrameRecord>,
 }
 
-/// The per-worker configuration, identical across workers so a session
-/// computes the same result wherever it lands.
-#[derive(Clone, Copy)]
-pub(crate) struct WorkerConfig {
-    pub transport: TransportKind,
-    pub faults: FaultSpec,
-    pub revocation: Option<RevocationSpec>,
-    /// Total sessions in the sweep (bounds the width of the last bus).
-    pub total: usize,
-    /// Test hook: drop the state of the session with this global index
-    /// before its kickoff, exercising the fail-closed poisoned path.
-    pub poison: Option<usize>,
+/// What one worker run produced: per-session results in the order the
+/// work was given, the delivery log in scheduler pop order, and the
+/// traces of the buses it owned (sorted by bus id).
+pub(crate) struct GroupOutcome {
+    pub results: Vec<SessionResult>,
+    pub deliveries: Vec<DeliveryRecord>,
+    pub buses: Vec<BusTrace>,
 }
 
 /// The wire under one session: private (owned transport) or a slot on
@@ -329,66 +323,6 @@ enum Event {
 /// so every same-time endpoint step (and its sends) lands before the
 /// bus arbitrates — the pop order is shard-layout-independent.
 const LANE_BUS: u64 = 1 << 32;
-
-struct LaneEntry {
-    at: VirtualTime,
-    lane: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for LaneEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.lane, self.seq) == (other.at, other.lane, other.seq)
-    }
-}
-impl Eq for LaneEntry {}
-impl PartialOrd for LaneEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LaneEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.lane, self.seq).cmp(&(other.at, other.lane, other.seq))
-    }
-}
-
-/// A deterministic min-heap over `(at, lane, seq)`: time first, then
-/// the global lane, then insertion order as the final tiebreak.
-struct LaneScheduler {
-    queue: BinaryHeap<Reverse<LaneEntry>>,
-    now: VirtualTime,
-    seq: u64,
-}
-
-impl LaneScheduler {
-    fn new() -> Self {
-        LaneScheduler {
-            queue: BinaryHeap::new(),
-            now: 0,
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` at `at` (clamped to now) on `lane`.
-    fn schedule(&mut self, at: VirtualTime, lane: u64, event: Event) {
-        let at = at.max(self.now);
-        self.queue.push(Reverse(LaneEntry {
-            at,
-            lane,
-            seq: self.seq,
-            event,
-        }));
-        self.seq += 1;
-    }
-
-    fn next(&mut self) -> Option<(VirtualTime, Event)> {
-        let Reverse(entry) = self.queue.pop()?;
-        self.now = entry.at;
-        Some((entry.at, entry.event))
-    }
-}
 
 /// Integrates the primitives an endpoint recorded since the last step.
 fn delta_cost_ms(trace: &OpTrace, cursor: &mut usize, profile: &DeviceProfile) -> f64 {
@@ -493,7 +427,7 @@ fn dispatch_send(
     from: Role,
     msg: ecq_proto::Message,
     done_at: VirtualTime,
-    scheduler: &mut LaneScheduler,
+    scheduler: &mut LaneScheduler<Event>,
 ) {
     match &mut session.link {
         Link::Private(t) => match t.send_frame(from, msg, done_at) {
@@ -526,13 +460,12 @@ fn dispatch_send(
     }
 }
 
-/// Runs one worker's share of sessions under a single virtual clock,
-/// delivering messages as events. Takes its sessions by value so the
-/// prepared credentials move straight into the endpoints — the sweep
-/// performs no per-session certificate/key cloning inside the timed
-/// region. Returns the per-session results in the order `work` was
-/// given, plus this worker's delivery log in scheduler pop order and
-/// the traces of the buses it owned.
+/// Runs a set of sessions — in the engine, one bus group — under a
+/// single virtual clock, delivering messages as events. Takes its
+/// sessions by value so the prepared credentials move straight into
+/// the endpoints — the sweep performs no per-session certificate/key
+/// cloning inside the timed region. `total` is the sweep's session
+/// count (it bounds the width of the last bus).
 ///
 /// # Panics
 ///
@@ -540,12 +473,9 @@ fn dispatch_send(
 /// group with members missing: a bus split across sweep shards would
 /// arbitrate different traffic per layout and break the determinism
 /// contract, so it is rejected loudly rather than simulated wrong.
-pub(crate) fn run_worker(
-    work: Vec<SessionWork>,
-    cfg: WorkerConfig,
-) -> (Vec<SessionResult>, Vec<DeliveryRecord>, Vec<BusTrace>) {
+pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usize) -> GroupOutcome {
     if let TransportKind::SharedBus { group } = cfg.transport {
-        assert_complete_buses(&work, group.max(1), cfg.total);
+        assert_complete_buses(&work, group.max(1), total);
     }
 
     let mut live: Vec<Option<Live>> = Vec::with_capacity(work.len());
@@ -579,10 +509,7 @@ pub(crate) fn run_worker(
                 .clone();
             let bus_slot = bus.borrow_mut().add_slot(
                 (w.index & 0xFFFF) as u16,
-                [
-                    ms_to_ns(w.preset_a.profile().costs.hash_block_ms),
-                    ms_to_ns(w.preset_b.profile().costs.hash_block_ms),
-                ],
+                pair_overheads(&w.preset_a.profile(), &w.preset_b.profile()),
             );
             debug_assert_eq!(bus_slot, w.index % group, "bus slots follow session order");
             slot_of.insert((bus_id, bus_slot), slot);
@@ -610,7 +537,7 @@ pub(crate) fn run_worker(
                 bus_id,
                 slot: bus_slot,
             },
-            None => match make_transport(&cfg.transport, &w) {
+            None => match make_transport(&cfg.transport) {
                 Some(t) => Link::Private(t),
                 None => {
                     // A session whose link cannot be built (no bus
@@ -811,18 +738,22 @@ pub(crate) fn run_worker(
             None => SessionResult::empty(),
         })
         .collect();
-    let traces = buses
+    let buses = buses
         .into_iter()
         .map(|(bus, rc)| {
-            let b = rc.borrow();
+            let mut b = rc.borrow_mut();
             BusTrace {
                 bus,
                 counters: b.counters(),
-                frames: b.frame_log().to_vec(),
+                frames: b.take_frame_log(),
             }
         })
         .collect();
-    (results, log, traces)
+    GroupOutcome {
+        results,
+        deliveries: log,
+        buses,
+    }
 }
 
 /// Hard-errors unless every bus group in `work` is complete: members
@@ -849,14 +780,9 @@ fn assert_complete_buses(work: &[SessionWork], group: usize, total: usize) {
 /// shared-bus transport: those sessions ride `Link::Shared`, and a
 /// caller that reaches this without a registered bus slot must fail
 /// the session closed rather than abort.
-fn make_transport(kind: &TransportKind, work: &SessionWork) -> Option<Box<dyn Transport>> {
+fn make_transport(kind: &TransportKind) -> Option<Box<dyn Transport>> {
     match kind {
         TransportKind::Channel { latency_us } => Some(Box::new(ChannelTransport::new(*latency_us))),
-        TransportKind::Simnet => Some(Box::new(CanLink::for_pair(
-            (work.index & 0xFFFF) as u16,
-            &work.preset_a.profile(),
-            &work.preset_b.profile(),
-        ))),
         TransportKind::SharedBus { .. } => None,
         // Socket-pair creation can fail (fd exhaustion); the caller
         // fails that session closed rather than aborting the sweep.
@@ -866,123 +792,33 @@ fn make_transport(kind: &TransportKind, work: &SessionWork) -> Option<Box<dyn Tr
     }
 }
 
-/// Shards `work` across `threads` workers and returns results in
-/// session-index order regardless of the thread count.
-///
-/// Private-link sessions are dealt round-robin (worker `t` takes
-/// indices `t`, `t + threads`, …) rather than in contiguous chunks:
-/// device presets rotate through the roster, so striding gives every
-/// worker the same preset mix — and therefore the same compute load —
-/// instead of leaving the last chunk short. Shared-bus sweeps deal
-/// whole *bus groups* round-robin instead (worker `t` takes buses `t`,
-/// `t + threads`, …): the bus is the unit of independence, so splitting
-/// one across workers is rejected by [`run_worker`]. Either way any
-/// partition produces the identical report; only the host wall-clock
-/// changes.
-pub(crate) fn run_sweep(
-    work: Vec<SessionWork>,
-    opts: &SweepOptions,
-) -> (Vec<SessionResult>, Vec<DeliveryRecord>, Vec<BusTrace>) {
-    let total = work.len();
-    let group = match opts.transport {
-        TransportKind::SharedBus { group } => group.max(1),
-        _ => 1,
-    };
-    let cfg = WorkerConfig {
-        transport: opts.transport,
-        faults: opts.faults,
-        revocation: opts.revocation,
-        total,
-        poison: opts.poison,
-    };
-    let bus_count = total.div_ceil(group.max(1)).max(1);
-    let threads = opts.threads.max(1).min(bus_count);
-    if threads <= 1 {
-        return run_worker(work, cfg);
-    }
-    let mut shards: Vec<Vec<SessionWork>> = (0..threads)
-        .map(|_| Vec::with_capacity(total / threads + group))
-        .collect();
-    for (i, w) in work.into_iter().enumerate() {
-        let t = (i / group) % threads;
-        // A missing shard (impossible: t < threads) would drop the
-        // session, which then surfaces as a poisoned fail-closed
-        // result instead of a panic.
-        if let Some(s) = shards.get_mut(t) {
-            s.push(w);
-        }
-    }
-    let mut results: Vec<Option<SessionResult>> = (0..total).map(|_| None).collect();
-    let mut log: Vec<DeliveryRecord> = Vec::new();
-    let mut traces: Vec<BusTrace> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| scope.spawn(move || run_worker(shard, cfg)))
-            .collect();
-        for (t, handle) in handles.into_iter().enumerate() {
-            let (shard_results, shard_log, shard_traces) =
-                handle.join().expect("sweep worker panicked");
-            for (j, result) in shard_results.into_iter().enumerate() {
-                // Invert the deal rule arithmetically instead of
-                // carrying a per-worker index map: worker `t`'s `j`-th
-                // session came from its `j / group`-th bus group, whose
-                // global group number is `(j / group)·threads + t`.
-                // (A partial trailing group is always the globally last
-                // one, so every earlier worker-local group is full.)
-                let i = ((j / group) * threads + t) * group + (j % group);
-                if let Some(slot) = results.get_mut(i) {
-                    *slot = Some(result);
-                }
-            }
-            log.extend(shard_log);
-            traces.extend(shard_traces);
-        }
-    });
-    traces.sort_by_key(|t| t.bus);
-    let results = results
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                // A scatter bug left this slot unfilled; the session
-                // fails closed rather than aborting the sweep.
-                let mut r = SessionResult::empty();
-                r.failure = Some(ProtocolError::Poisoned);
-                r
-            })
-        })
-        .collect();
-    (results, log, traces)
-}
-
-/// Streams lazily produced work through `threads` workers with at most
-/// `opts.max_inflight` sessions resident at once, delivering results to
-/// `consume` in **strict session-index order** (so the caller can fold
-/// an incremental digest exactly as the materialized path does).
-/// Returns the bus traces, sorted by bus id.
+/// The sweep engine: streams lazily produced `work` (`total` sessions)
+/// through `opts.threads` workers with at most `opts.max_inflight`
+/// sessions resident at once, handing each bus group's outcome to
+/// `sink` together with the global index of its first session, in
+/// **strict group order** (so the caller folds an incremental digest
+/// in session-index order).
 ///
 /// # Architecture
 ///
 /// The calling thread is the producer: it pulls `work` (which may run
 /// real enrollment cryptography per pull), chunks it into bus groups —
-/// `group` consecutive sessions, the sweep's unit of independence — and
-/// deals group `g` to worker `g % threads` over a bounded channel.
-/// Workers simulate one group at a time through the same event loop as
-/// the materialized path and send `(group, results, traces)` back; a
-/// reorder buffer releases them to `consume` in group order.
+/// `group` consecutive sessions, the sweep's unit of independence; one
+/// session on a private link — and deals group `g` to worker
+/// `g % threads` over a bounded channel. Workers simulate one group at
+/// a time ([`run_worker`]) and send `(group, outcome)` back; a reorder
+/// buffer releases outcomes to `sink` in group order.
 ///
 /// # Why the report cannot depend on the window
 ///
-/// A session on a private link — and a whole group on a shared bus —
-/// interacts with nothing outside its own work item: the worker event
-/// loop's virtual clock never advances an event past its scheduled
-/// time (the `schedule` clamp is vacuous because every follow-up is
-/// scheduled at or after the event that produced it), so co-residence
-/// of other sessions cannot shift a timeline. Each group's results are
-/// therefore a pure function of `(config, seed, group)` — identical
-/// whether the group ran alone, in a window of 64, or in the fully
-/// materialized sweep — and in-order delivery makes the aggregate
-/// report bit-identical for any `threads` and any `max_inflight`.
+/// A group interacts with nothing outside its own work items: the
+/// worker event loop's virtual clock never advances an event past its
+/// scheduled time (the `schedule` clamp is vacuous because every
+/// follow-up is scheduled at or after the event that produced it), so
+/// the outcome of a group is a pure function of `(config, seed,
+/// group)` — identical whether the window holds one group or the
+/// whole sweep — and in-order delivery makes the aggregate report
+/// bit-identical for any `threads` and any `max_inflight`.
 ///
 /// # Deadlock freedom
 ///
@@ -991,16 +827,12 @@ pub(crate) fn run_sweep(
 /// work and will emit), and the final drain (workers hold the only
 /// remaining results). The reorder buffer is bounded by the number of
 /// admitted-but-undelivered groups, which the channels bound by
-/// construction.
-pub(crate) fn run_sweep_streaming<I, F>(
-    work: I,
-    total: usize,
-    opts: &SweepOptions,
-    mut consume: F,
-) -> Vec<BusTrace>
+/// construction. A worker that panics ends the stream early; the
+/// thread scope then re-raises its panic.
+pub(crate) fn run_sweep<I, F>(work: I, total: usize, opts: &SweepOptions, mut sink: F)
 where
     I: Iterator<Item = SessionWork>,
-    F: FnMut(usize, SessionResult),
+    F: FnMut(usize, GroupOutcome),
 {
     use std::sync::mpsc::{channel, sync_channel, TrySendError};
 
@@ -1008,33 +840,26 @@ where
         TransportKind::SharedBus { group } => group.max(1),
         _ => 1,
     };
-    let cfg = WorkerConfig {
-        transport: opts.transport,
-        faults: opts.faults,
-        revocation: opts.revocation,
-        total,
-        poison: opts.poison,
-    };
-    let threads = opts.threads.max(1);
+    // Never more workers than bus groups: an idle worker only costs a
+    // thread spawn.
+    let groups = total.div_ceil(group).max(1);
+    let threads = opts.threads.max(1).min(groups);
     // Per-worker queue depth in groups: the window split across
     // workers, at least one so every worker can hold work — and never
-    // more groups than the sweep has (`sync_channel` preallocates its
+    // more groups than a worker gets (`sync_channel` preallocates its
     // ring, so an unbounded window must not allocate an unbounded one).
-    let groups_per_worker = total.div_ceil(group).div_ceil(threads).max(1);
-    let cap = (opts.max_inflight.max(group) / threads / group).clamp(1, groups_per_worker);
+    let cap = (opts.max_inflight.max(group) / threads / group).clamp(1, groups.div_ceil(threads));
 
-    let mut traces: Vec<BusTrace> = Vec::new();
     let mut work = work;
     std::thread::scope(|scope| {
-        let (res_tx, res_rx) = channel::<(usize, Vec<SessionResult>, Vec<BusTrace>)>();
+        let (res_tx, res_rx) = channel::<(usize, GroupOutcome)>();
         let mut feeds = Vec::with_capacity(threads);
         for _ in 0..threads {
             let (tx, rx) = sync_channel::<(usize, Vec<SessionWork>)>(cap);
             let worker_tx = res_tx.clone();
             scope.spawn(move || {
                 while let Ok((g, batch)) = rx.recv() {
-                    let (results, _log, batch_traces) = run_worker(batch, cfg);
-                    if worker_tx.send((g, results, batch_traces)).is_err() {
+                    if worker_tx.send((g, run_worker(batch, opts, total))).is_err() {
                         return;
                     }
                 }
@@ -1044,15 +869,13 @@ where
         drop(res_tx);
 
         // Reorder buffer: completed groups awaiting in-order delivery.
-        let mut pending: BTreeMap<usize, Vec<SessionResult>> = BTreeMap::new();
+        let mut pending: BTreeMap<usize, GroupOutcome> = BTreeMap::new();
         let mut next_out = 0usize;
-        let mut flush = |pending: &mut BTreeMap<usize, Vec<SessionResult>>,
-                         next_out: &mut usize| {
-            while let Some(results) = pending.remove(next_out) {
-                for (j, r) in results.into_iter().enumerate() {
-                    consume(*next_out * group + j, r);
-                }
-                *next_out += 1;
+        let mut retire = |g: usize, outcome: GroupOutcome| {
+            pending.insert(g, outcome);
+            while let Some(outcome) = pending.remove(&next_out) {
+                sink(next_out * group, outcome);
+                next_out += 1;
             }
         };
 
@@ -1073,14 +896,12 @@ where
             };
             // Retire everything already finished before admitting more:
             // when workers outpace the producer (enrollment runs on this
-            // thread), finished results must fold into `consume` now, not
+            // thread), finished results must fold into `sink` now, not
             // pile up in the unbounded result channel until the final
             // drain — that would grow resident state with fleet size and
             // void the bounded-memory contract.
-            while let Ok((done, results, batch_traces)) = res_rx.try_recv() {
-                pending.insert(done, results);
-                traces.extend(batch_traces);
-                flush(&mut pending, &mut next_out);
+            while let Ok((done, outcome)) = res_rx.try_recv() {
+                retire(done, outcome);
             }
             let mut msg = (g, batch);
             loop {
@@ -1091,11 +912,7 @@ where
                         // Admission is at the window: retire one group
                         // before admitting another.
                         match res_rx.recv() {
-                            Ok((done, results, batch_traces)) => {
-                                pending.insert(done, results);
-                                traces.extend(batch_traces);
-                                flush(&mut pending, &mut next_out);
-                            }
+                            Ok((done, outcome)) => retire(done, outcome),
                             Err(_) => break, // workers gone; scope will surface the panic
                         }
                     }
@@ -1105,21 +922,10 @@ where
             g += 1;
         }
         drop(feeds);
-        while let Ok((done, results, batch_traces)) = res_rx.recv() {
-            pending.insert(done, results);
-            traces.extend(batch_traces);
-            flush(&mut pending, &mut next_out);
-        }
-        // A gap can only remain if a worker died mid-stream; deliver
-        // what completed (still in order) rather than dropping it.
-        for (done, results) in std::mem::take(&mut pending) {
-            for (j, r) in results.into_iter().enumerate() {
-                consume(done * group + j, r);
-            }
+        while let Ok((done, outcome)) = res_rx.recv() {
+            retire(done, outcome);
         }
     });
-    traces.sort_by_key(|t| t.bus);
-    traces
 }
 
 #[cfg(test)]
@@ -1184,32 +990,22 @@ mod tests {
             .collect()
     }
 
+    fn shared(group: usize) -> SweepOptions {
+        SweepOptions::new().transport(TransportKind::SharedBus { group })
+    }
+
     #[test]
     #[should_panic(expected = "bus split across sweep shards")]
     fn split_bus_group_is_rejected() {
         let mut work = session_work(2);
         work.remove(1); // bus 0 = sessions {0, 1}; hand the worker only 0
-        let cfg = WorkerConfig {
-            transport: TransportKind::SharedBus { group: 2 },
-            faults: FaultSpec::none(),
-            revocation: None,
-            total: 2,
-            poison: None,
-        };
-        let _ = run_worker(work, cfg);
+        let _ = run_worker(work, &shared(2), 2);
     }
 
     #[test]
     fn poisoned_session_fails_closed_while_siblings_complete() {
         let work = session_work(3);
-        let cfg = WorkerConfig {
-            transport: TransportKind::Simnet,
-            faults: FaultSpec::none(),
-            revocation: None,
-            total: 3,
-            poison: Some(1),
-        };
-        let (results, _log, _traces) = run_worker(work, cfg);
+        let results = run_worker(work, &shared(1).poison(1), 3).results;
         assert_eq!(results.len(), 3);
         assert_eq!(results[1].failure, Some(ProtocolError::Poisoned));
         assert!(results[1].key.is_none(), "a poisoned session has no key");
@@ -1222,91 +1018,69 @@ mod tests {
     #[test]
     fn shared_bus_sessions_complete_with_equal_keys() {
         let work = session_work(2);
-        let cfg = WorkerConfig {
-            transport: TransportKind::SharedBus { group: 2 },
-            faults: FaultSpec::none(),
-            revocation: None,
-            total: 2,
-            poison: None,
-        };
-        let (results, log, traces) = run_worker(work, cfg);
-        assert_eq!(results.len(), 2);
-        for r in &results {
+        let out = run_worker(work, &shared(2), 2);
+        assert_eq!(out.results.len(), 2);
+        for r in &out.results {
             assert!(r.failure.is_none(), "unexpected failure: {:?}", r.failure);
             assert!(r.key.is_some());
             assert_eq!(r.messages, 4);
             assert_eq!(r.frames, 10);
         }
-        assert_eq!(log.len(), 8, "4 deliveries per session");
-        assert_eq!(traces.len(), 1);
-        assert_eq!(traces[0].counters, FaultCounters::default());
+        assert_eq!(out.deliveries.len(), 8, "4 deliveries per session");
+        assert_eq!(out.buses.len(), 1);
+        assert_eq!(out.buses[0].counters, FaultCounters::default());
+        assert!(!out.buses[0].frames.is_empty(), "the frame log moves out");
+    }
+
+    type Outcomes = Vec<(Option<[u8; 32]>, Option<ProtocolError>, VirtualTime)>;
+
+    /// Runs the engine over four faulted shared-bus sessions; returns
+    /// the sink's first indices, the per-session outcomes and the
+    /// per-bus fault counters, all in delivery order.
+    fn faulted_sweep(
+        threads: usize,
+        window: usize,
+    ) -> (Vec<usize>, Outcomes, Vec<(usize, FaultCounters)>) {
+        let opts = SweepOptions::new()
+            .threads(threads)
+            .transport(TransportKind::SharedBus { group: 2 })
+            .faults(FaultSpec {
+                seed: 11,
+                drop_per_mille: 60,
+                corrupt_per_mille: 40,
+                deadline_us: 30_000_000,
+                ..FaultSpec::none()
+            })
+            .max_inflight(window);
+        let (mut firsts, mut outcomes, mut counters) = (Vec::new(), Vec::new(), Vec::new());
+        run_sweep(session_work(4).into_iter(), 4, &opts, |first, group| {
+            firsts.push(first);
+            for r in &group.results {
+                outcomes.push((r.key.as_ref().map(|k| *k.as_bytes()), r.failure, r.end_us));
+            }
+            counters.extend(group.buses.iter().map(|b| (b.bus, b.counters)));
+        });
+        (firsts, outcomes, counters)
     }
 
     #[test]
     fn streaming_pump_matches_materialized_for_any_window() {
-        let opts_for = |threads: usize| {
-            SweepOptions::new()
-                .threads(threads)
-                .transport(TransportKind::SharedBus { group: 2 })
-                .faults(FaultSpec {
-                    seed: 11,
-                    drop_per_mille: 60,
-                    corrupt_per_mille: 40,
-                    deadline_us: 30_000_000,
-                    ..FaultSpec::none()
-                })
-        };
-        let (baseline, _, base_traces) = run_sweep(session_work(4), &opts_for(1));
-        let base_outcomes: Vec<_> = baseline
-            .iter()
-            .map(|r| (r.key.as_ref().map(|k| *k.as_bytes()), r.failure, r.end_us))
-            .collect();
-        let base_counters: Vec<_> = base_traces.iter().map(|t| (t.bus, t.counters)).collect();
+        let baseline = faulted_sweep(1, usize::MAX);
+        assert_eq!(baseline.0, vec![0, 2], "strict in-order group delivery");
+        assert_eq!(baseline.1.len(), 4);
         for (threads, window) in [(1, 1), (2, 2), (3, 5), (2, usize::MAX)] {
-            let opts = opts_for(threads).max_inflight(window);
-            let mut delivered: Vec<usize> = Vec::new();
-            let mut outcomes: Vec<_> = Vec::new();
-            let traces = run_sweep_streaming(session_work(4).into_iter(), 4, &opts, |index, r| {
-                delivered.push(index);
-                outcomes.push((r.key.as_ref().map(|k| *k.as_bytes()), r.failure, r.end_us));
-            });
             assert_eq!(
-                delivered,
-                vec![0, 1, 2, 3],
-                "strict in-order delivery (threads {threads}, window {window})"
+                faulted_sweep(threads, window),
+                baseline,
+                "threads {threads}, window {window}"
             );
-            assert_eq!(
-                outcomes, base_outcomes,
-                "streamed results match materialized (threads {threads}, window {window})"
-            );
-            let counters: Vec<_> = traces.iter().map(|t| (t.bus, t.counters)).collect();
-            assert_eq!(counters, base_counters);
         }
     }
 
     #[test]
     fn shared_bus_sweep_is_thread_count_invariant() {
-        let run = |threads: usize| {
-            let opts = SweepOptions::new()
-                .threads(threads)
-                .transport(TransportKind::SharedBus { group: 2 })
-                .faults(FaultSpec {
-                    seed: 11,
-                    drop_per_mille: 60,
-                    corrupt_per_mille: 40,
-                    deadline_us: 30_000_000,
-                    ..FaultSpec::none()
-                });
-            let (results, _, traces) = run_sweep(session_work(4), &opts);
-            let outcomes: Vec<_> = results
-                .iter()
-                .map(|r| (r.key.as_ref().map(|k| *k.as_bytes()), r.failure, r.end_us))
-                .collect();
-            let counters: Vec<_> = traces.iter().map(|t| (t.bus, t.counters)).collect();
-            (outcomes, counters)
-        };
-        let baseline = run(1);
-        assert_eq!(baseline, run(2));
-        assert_eq!(baseline, run(8));
+        let baseline = faulted_sweep(1, usize::MAX);
+        assert_eq!(baseline, faulted_sweep(2, usize::MAX));
+        assert_eq!(baseline, faulted_sweep(8, usize::MAX));
     }
 }

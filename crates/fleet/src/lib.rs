@@ -12,13 +12,13 @@
 //! * [`FleetCoordinator`] — drives N simulated devices through the full
 //!   lifecycle: batch ECQV enrollment
 //!   ([`ecq_cert::ca::CertificateAuthority::issue_batch`], one shared
-//!   field inversion per batch), concurrent STS `establish()`
-//!   handshakes, and policy-driven rekey epochs via
-//!   [`ecq_sts::SessionManager`],
-//! * [`EventScheduler`] — a deterministic discrete-event scheduler:
-//!   durations come from the `ecq_devices` cost models, ties break by
-//!   insertion order, and no wall-clock time is ever read, so a
-//!   `(config, seed)` pair reproduces a run bit-for-bit,
+//!   field inversion per batch), then establishment and rekey epochs
+//!   as message-granularity STS sweeps,
+//! * [`interleave`] — the one sweep engine: every wire message is a
+//!   deterministic virtual-time event (durations from the
+//!   `ecq_devices` cost models, no wall-clock time ever read), bus
+//!   groups shard across host threads through a bounded admission
+//!   window, so a `(config, seed)` pair reproduces a run bit-for-bit,
 //! * [`FleetReport`] — enrollment/handshake/rekey counters plus
 //!   virtual-time makespans for throughput accounting.
 //!
@@ -54,7 +54,7 @@ pub use interleave::{DeliveryRecord, RevocationSpec, SweepOptions, TransportKind
 pub use pool::CaPool;
 pub use report::FleetReport;
 pub use scenario::{Expected, Scenario, ScenarioOutcome};
-pub use scheduler::{EventScheduler, VirtualTime};
+pub use scheduler::VirtualTime;
 
 /// Errors surfaced by a fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +63,9 @@ pub enum FleetError {
     Cert(ecq_cert::CertError),
     /// An STS handshake or rekey failed.
     Protocol(ecq_proto::ProtocolError),
+    /// The coordinator already ran its one establishment sweep (or,
+    /// before a streaming sweep, already enrolled its roster).
+    AlreadySwept,
 }
 
 impl core::fmt::Display for FleetError {
@@ -70,6 +73,9 @@ impl core::fmt::Display for FleetError {
         match self {
             FleetError::Cert(e) => write!(f, "enrollment failed: {e}"),
             FleetError::Protocol(e) => write!(f, "session failed: {e}"),
+            FleetError::AlreadySwept => {
+                write!(f, "an establishment sweep runs once per coordinator")
+            }
         }
     }
 }

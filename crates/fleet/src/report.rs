@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 /// Counters and simulated-time totals for one fleet lifecycle.
 ///
 /// All times are *virtual*: they come from the `ecq_devices` cost
-/// models integrated by the event scheduler, not from the host clock,
+/// models integrated by the sweep engine, not from the host clock,
 /// so two runs with the same seed produce the same report. Wall-clock
 /// throughput of the host is measured separately by the `fleet` bench
 /// binary.
@@ -36,7 +36,7 @@ pub struct FleetReport {
     /// Virtual time at the end of the rekey-epoch phase, microseconds.
     pub epoch_end_us: VirtualTime,
     /// Wire messages delivered as individual scheduler events by the
-    /// interleaved sweep.
+    /// establishment sweep and any rekey epochs.
     pub messages: u64,
     /// Handshake payload bytes those messages carried.
     pub wire_bytes: u64,
@@ -52,8 +52,9 @@ pub struct FleetReport {
     /// because the simulation lost their state mid-sweep (broken
     /// scheduler invariant or crashed worker; 0 on a healthy run).
     pub poisoned: u64,
-    /// Fault-engine activity summed over every shared bus in the sweep
-    /// (all-zero for private links or an inactive fault spec).
+    /// Fault-engine activity summed over every CAN-FD bus in the
+    /// sweeps (all-zero for channel/socket links or an inactive fault
+    /// spec).
     pub faults: ecq_simnet::FaultCounters,
     /// SHA-256 over every session's outcome (key bytes or failure
     /// marker) in session-index order — the cheap cross-run and

@@ -113,7 +113,8 @@ impl Scenario {
             .map(|s| match s.failure() {
                 Some(FleetError::Protocol(e)) => Some(*e),
                 Some(FleetError::Cert(e)) => Some(ProtocolError::Cert(*e)),
-                None => None,
+                // A sweep-level error, never recorded on a session.
+                Some(FleetError::AlreadySwept) | None => None,
             })
             .collect();
         ScenarioOutcome {

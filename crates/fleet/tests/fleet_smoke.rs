@@ -73,7 +73,7 @@ fn interleaved_hs_per_sec(threads: usize) -> f64 {
         .interleaved_sweep(
             &SweepOptions::new()
                 .threads(threads)
-                .transport(TransportKind::Simnet),
+                .transport(TransportKind::SharedBus { group: 1 }),
         )
         .expect("sweep succeeds");
     fleet.report().handshakes as f64 / start.elapsed().as_secs_f64().max(1e-9)

@@ -1,10 +1,11 @@
-//! Integration tests for the message-granularity interleaved sweep:
-//! thread-count determinism, cross-session interleaving, transport
-//! accounting and fleet-level revocation.
+//! Integration tests for the message-granularity sweeps: golden
+//! reports, thread-count determinism, cross-session interleaving,
+//! transport accounting, rekey epochs and fleet-level revocation.
 
 use ecq_cert::CertError;
 use ecq_fleet::{FleetConfig, FleetCoordinator, FleetError, SweepOptions, TransportKind};
 use ecq_proto::ProtocolError;
+use ecq_simnet::FaultSpec;
 
 fn config(devices: usize, seed: u64) -> FleetConfig {
     FleetConfig::new()
@@ -31,7 +32,7 @@ fn report_is_bit_identical_across_thread_counts() {
                 0xD15C,
                 &SweepOptions::new()
                     .threads(threads)
-                    .transport(TransportKind::Simnet),
+                    .transport(TransportKind::SharedBus { group: 1 }),
             );
             fleet.report().clone()
         })
@@ -90,13 +91,15 @@ fn messages_are_delivered_at_wire_granularity() {
 
 #[test]
 fn handshakes_interleave_across_sessions() {
-    // One worker, so the delivery log is one scheduler's pop order.
+    // One bus carrying every session, so the delivery log is one
+    // scheduler's pop order (sessions on private links are simulated
+    // alone; only a shared bus interleaves them).
     let fleet = sweep(
         24,
         0xCAFE,
         &SweepOptions::new()
             .threads(1)
-            .transport(TransportKind::Simnet),
+            .transport(TransportKind::SharedBus { group: 64 }),
     );
     let log = fleet.last_deliveries();
     assert_eq!(log.len(), 4 * fleet.report().sessions);
@@ -199,7 +202,7 @@ fn mid_run_revocation_fails_subsequent_handshakes_only() {
 
     // Mid-run: every pair holds a key; now one device is compromised.
     assert!(fleet.revoke_device(1));
-    fleet.run_epochs(2).unwrap();
+    fleet.run_epochs(2, &SweepOptions::default()).unwrap();
 
     let revoked: Vec<_> = fleet
         .sessions()
@@ -236,7 +239,7 @@ fn streaming_sweep_reproduces_the_materialized_report() {
     for (threads, window) in [(1, 2), (2, 4), (8, 16), (3, usize::MAX)] {
         let opts = SweepOptions::new()
             .threads(threads)
-            .transport(TransportKind::Simnet)
+            .transport(TransportKind::SharedBus { group: 1 })
             .max_inflight(window);
         let mut fleet = FleetCoordinator::new(config(48, 0x57AE));
         fleet.streaming_sweep(&opts).unwrap();
@@ -258,9 +261,8 @@ fn streaming_sweep_reproduces_the_materialized_report() {
 
 #[test]
 fn finite_window_interleaved_sweep_matches_materialized() {
-    // interleaved_sweep with a finite max_inflight routes through the
-    // streaming scheduler but still materializes sessions; both the
-    // report and per-session keys must be unchanged.
+    // interleaved_sweep with a finite max_inflight still materializes
+    // sessions; both the report and per-session keys must be unchanged.
     let reference = sweep(32, 0x11AB, &SweepOptions::default());
     let windowed = sweep(32, 0x11AB, &SweepOptions::new().threads(2).max_inflight(3));
     assert_eq!(reference.report(), windowed.report());
@@ -312,7 +314,7 @@ fn mixed_thread_and_transport_runs_share_keys() {
         42,
         &SweepOptions::new()
             .threads(8)
-            .transport(TransportKind::Simnet),
+            .transport(TransportKind::SharedBus { group: 4 }),
     );
     let ka: Vec<_> = one
         .sessions()
@@ -325,4 +327,143 @@ fn mixed_thread_and_transport_runs_share_keys() {
         .map(|s| *s.last_key().unwrap().as_bytes())
         .collect();
     assert_eq!(ka, kb);
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn faults() -> FaultSpec {
+    FaultSpec {
+        seed: 0x5EED,
+        drop_per_mille: 30,
+        corrupt_per_mille: 20,
+        duplicate_per_mille: 10,
+        reorder_per_mille: 10,
+        deadline_us: 30_000_000,
+        ..FaultSpec::none()
+    }
+}
+
+/// Golden establishment reports for a 24-device fleet, one per link
+/// model: key digest, handshake makespan, messages, wire bytes, CAN-FD
+/// frames and keyed sessions. The private-CAN-FD values were captured
+/// from the retired point-to-point CAN-FD link model, which a one-slot
+/// shared bus reproduces exactly.
+#[test]
+fn establishment_reports_match_golden_values() {
+    let cases = [
+        (
+            TransportKind::Channel { latency_us: 0 },
+            FaultSpec::none(),
+            "b4546aaaf4894739547f9edc7977494fc9b4dc8fc5e3f1a55893c17df9ce8349",
+            (24_942_370, 44, 5401, 0, 11),
+        ),
+        (
+            TransportKind::SharedBus { group: 1 },
+            FaultSpec::none(),
+            "b4546aaaf4894739547f9edc7977494fc9b4dc8fc5e3f1a55893c17df9ce8349",
+            (24_954_173, 44, 5401, 110, 11),
+        ),
+        (
+            TransportKind::SharedBus { group: 4 },
+            faults(),
+            "581e386b52505fbd44d0a644bbae113bc640d401d796cde7af39bfde41ea516c",
+            (30_000_000, 37, 4902, 97, 7),
+        ),
+    ];
+    for (transport, faults, digest, counts) in cases {
+        let mut fleet = FleetCoordinator::new(config(24, 0x601D));
+        fleet.enroll_all().unwrap();
+        let _ = fleet.interleaved_sweep(&SweepOptions::new().transport(transport).faults(faults));
+        let r = fleet.report();
+        assert_eq!(hex(&r.key_digest.unwrap()), digest, "{transport:?}");
+        assert_eq!(
+            (
+                r.handshake_makespan_us,
+                r.messages,
+                r.wire_bytes,
+                r.can_frames,
+                r.handshakes
+            ),
+            counts,
+            "{transport:?}"
+        );
+    }
+}
+
+#[test]
+fn establishment_runs_once_per_coordinator() {
+    let mut fleet = FleetCoordinator::new(config(8, 0x0CE));
+    fleet.enroll_all().unwrap();
+    fleet.interleaved_sweep(&SweepOptions::default()).unwrap();
+    let report = fleet.report().clone();
+    assert_eq!(
+        fleet.interleaved_sweep(&SweepOptions::default()),
+        Err(FleetError::AlreadySwept)
+    );
+    assert_eq!(
+        fleet.streaming_sweep(&SweepOptions::default()),
+        Err(FleetError::AlreadySwept)
+    );
+    assert_eq!(*fleet.report(), report, "a refused sweep changes nothing");
+
+    // A streaming sweep enrolls the roster itself.
+    let mut enrolled = FleetCoordinator::new(config(8, 0x0CE));
+    enrolled.enroll_all().unwrap();
+    assert_eq!(
+        enrolled.streaming_sweep(&SweepOptions::default()),
+        Err(FleetError::AlreadySwept)
+    );
+}
+
+#[test]
+fn streaming_sweep_keeps_fault_counts_but_no_frame_logs() {
+    let opts = SweepOptions::new()
+        .threads(2)
+        .transport(TransportKind::SharedBus { group: 2 })
+        .faults(faults())
+        .max_inflight(4);
+    let mut materialized = FleetCoordinator::new(config(32, 0xF4A7));
+    materialized.enroll_all().unwrap();
+    let _ = materialized.interleaved_sweep(&opts);
+    assert!(!materialized.last_frame_logs().is_empty());
+    assert_ne!(materialized.report().faults, Default::default());
+
+    let mut streamed = FleetCoordinator::new(config(32, 0xF4A7));
+    let _ = streamed.streaming_sweep(&opts);
+    assert!(streamed.last_frame_logs().is_empty());
+    assert!(streamed.last_deliveries().is_empty());
+    assert_eq!(streamed.report().faults, materialized.report().faults);
+    assert_eq!(streamed.report(), materialized.report());
+}
+
+#[test]
+fn rekey_epochs_are_thread_count_invariant() {
+    let run = |threads: usize| {
+        let opts = SweepOptions::new()
+            .threads(threads)
+            .transport(TransportKind::SharedBus { group: 2 });
+        let mut fleet = sweep(24, 0xE90C, &opts);
+        let keys = |fleet: &FleetCoordinator| -> Vec<_> {
+            fleet
+                .sessions()
+                .iter()
+                .map(|s| (*s.last_key().unwrap().as_bytes(), s.rekey_count()))
+                .collect()
+        };
+        let established = keys(&fleet);
+        fleet.run_epochs(2, &opts).unwrap();
+        let rekeyed = keys(&fleet);
+        for (old, new) in established.iter().zip(&rekeyed) {
+            assert_ne!(old.0, new.0, "every epoch derives a fresh key");
+        }
+        (fleet.report().clone(), rekeyed)
+    };
+    let (report, keys) = run(1);
+    assert_eq!((report.clone(), keys.clone()), run(4));
+    assert_eq!(report.rekeys, 2 * report.sessions as u64);
+    assert_eq!(report.handshakes, 3 * report.sessions);
+    assert!(report.epoch_end_us > report.handshake_makespan_us);
+    assert!(keys.iter().all(|&(_, rekeys)| rekeys == 2));
 }

@@ -10,9 +10,12 @@
 //! * [`ChannelTransport`] (here) — an in-memory FIFO pair with a fixed
 //!   per-message latency; the reference implementation and the fast
 //!   path for tests,
-//! * `ecq_simnet::transport::CanLink` — frames routed through the
-//!   CAN-FD bus and ISO 15765-2 segmentation models with per-link
-//!   latency from the `ecq_devices` cost tables.
+//! * [`crate::SocketPair`] — a real in-process socket pair carrying
+//!   the versioned service frame format.
+//!
+//! The CAN-FD model (`ecq_simnet::SharedBus`) carries many sessions on
+//! one arbitrated bus, so it is driven through its own slot API rather
+//! than this point-to-point trait.
 //!
 //! The contract every implementation upholds:
 //!
@@ -43,11 +46,11 @@ pub type TransportTime = u64;
 /// one handshake, with virtual-time delivery accounting.
 ///
 /// The API is framed: one handshake [`Message`] in, one frame on the
-/// link, one [`Message`] out. Virtual-time implementations
-/// ([`ChannelTransport`], `ecq_simnet::transport::CanLink`) are
-/// infallible in practice and always return `Ok`; real-socket
-/// implementations (`ecq_service::SocketTransport`) surface I/O and
-/// framing failures as [`TransportError`].
+/// link, one [`Message`] out. The virtual-time implementation
+/// ([`ChannelTransport`]) is infallible in practice and always returns
+/// `Ok`; real-socket implementations ([`crate::SocketPair`],
+/// `ecq_service::SocketTransport`) surface I/O and framing failures as
+/// [`TransportError`].
 pub trait Transport {
     /// Submits `message` from `from` at virtual time `now_us`. Returns
     /// the virtual time at which the peer can receive it.

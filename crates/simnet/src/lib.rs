@@ -11,18 +11,17 @@
 //!   transfer-time accounting,
 //! * [`app`] — the application/session header of the paper's Fig. 6
 //!   (communication code, session communication id, op code),
-//! * [`bus`] — a discrete-event bus serializing transmissions with
-//!   priority arbitration,
-//! * [`transport`] — the `ecq_proto` [`transport::CanLink`] transport:
-//!   handshake messages wrapped in the app header, segmented by ISO-TP
-//!   and routed frame-by-frame through the bus, with per-link latency
-//!   from the `ecq_devices` cost tables,
 //! * [`fault`] — the seeded, schedule-stable fault-injection plan
 //!   (frame drop/corrupt/duplicate/reorder/delay, message replay,
 //!   babble storms, clock skew),
-//! * [`sharedbus`] — a multi-session arbitrated bus processed
-//!   incrementally under a [`fault::FaultPlan`], with typed-message
-//!   reconstruction and a pinned frame-schedule log.
+//! * [`sharedbus`] — the bus model: one arbitrated CAN-FD medium
+//!   carrying any number of sessions' ISO-TP traffic, processed
+//!   incrementally under a [`fault::FaultPlan`], with per-frame driver
+//!   overhead from the `ecq_devices` cost tables, typed-message
+//!   reconstruction and a pinned frame-schedule log,
+//! * [`transport`] — one handshake's private point-to-point link: a
+//!   one-slot bus with per-frame driver overhead from the two boards'
+//!   cost tables.
 //!
 //! The headline check reproduced by the tests and the Fig. 7 bench: a
 //! full handshake message (≤ 245 B) crosses the bus in ~1 ms — "the
@@ -31,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod bus;
 pub mod canfd;
 pub mod fault;
 pub mod isotp;
@@ -40,7 +38,6 @@ pub mod transport;
 
 pub use fault::{BabbleSpec, FaultAction, FaultPlan, FaultSpec, TargetedFault};
 pub use sharedbus::{DeliveryDue, FaultCounters, FrameRecord, SharedBus};
-pub use transport::CanLink;
 
 /// Simulation time in nanoseconds.
 pub type SimNanos = u64;

@@ -1,11 +1,10 @@
 //! A multi-session CAN-FD bus with deterministic arbitration and
-//! fault injection.
+//! fault injection — the crate's one bus model.
 //!
-//! [`CanLink`](crate::CanLink) gives every handshake a pristine private
-//! medium; real harnesses share one. [`SharedBus`] carries *many*
-//! sessions' ISO-TP traffic over a single arbitrated medium, processed
-//! incrementally so an external event scheduler can interleave bus
-//! time with endpoint compute:
+//! [`SharedBus`] carries one or many sessions' ISO-TP traffic over a
+//! single arbitrated medium (a one-slot bus is a private
+//! point-to-point link), processed incrementally so an external event
+//! scheduler can interleave bus time with endpoint compute:
 //!
 //! * every session gets a **slot** with its own arbitration-id block
 //!   (`0x100 + 4·slot`), so earlier slots win arbitration exactly like
@@ -108,6 +107,20 @@ pub struct FaultCounters {
     /// Messages sent but never delivered (final accounting — only
     /// meaningful once the bus has drained).
     pub messages_lost: u64,
+}
+
+impl std::ops::AddAssign for FaultCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.dropped += other.dropped;
+        self.corrupted += other.corrupted;
+        self.duplicated += other.duplicated;
+        self.held_back += other.held_back;
+        self.delayed += other.delayed;
+        self.replayed += other.replayed;
+        self.storm_frames += other.storm_frames;
+        self.isotp_errors += other.isotp_errors;
+        self.messages_lost += other.messages_lost;
+    }
 }
 
 /// Per-slot traffic totals (the [`Transport`](ecq_proto::transport::Transport)
@@ -551,6 +564,12 @@ impl SharedBus {
     /// The transmitted-frame schedule so far.
     pub fn frame_log(&self) -> &[FrameRecord] {
         &self.log
+    }
+
+    /// Moves the transmitted-frame schedule out of the bus, leaving an
+    /// empty log behind.
+    pub fn take_frame_log(&mut self) -> Vec<FrameRecord> {
+        std::mem::take(&mut self.log)
     }
 }
 

@@ -19,7 +19,7 @@ use ecq_proto::ProtocolError;
 fn every_scenario_meets_its_predicted_outcome() {
     assert!(catalog().len() >= 8, "catalog shrank below the spec floor");
     for scenario in catalog() {
-        let out = scenario.verify();
+        let out = scenario.assert_contract();
         // Fault evidence must reach the report: an injected scenario
         // with all-zero counters means the fault never fired.
         let c = out.report.faults;
@@ -110,7 +110,7 @@ fn crl_propagation_latency_flips_the_revocation_outcome() {
 fn arbitration_storm_slows_but_never_corrupts() {
     let out = by_name("arbitration-storm")
         .expect("catalog scenario")
-        .verify();
+        .assert_contract();
     assert!(out.report.faults.storm_frames > 0, "storm never fired");
     assert_eq!(out.report.faults.messages_lost, 0);
     assert_eq!(out.report.timeouts, 0);

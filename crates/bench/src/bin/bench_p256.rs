@@ -3,11 +3,10 @@
 //! Times every hot curve primitive on the specialized field backend
 //! and — where one exists — a retired reference implementation of the
 //! *same* operation (the generic [`ecq_p256::mont::MontCtx`] engine
-//! for field rows, the pre-wNAF 4-bit window walk for
-//! `point_mul_vartime`), so the artifact records the optimization
-//! speedup live instead of relying on numbers copied from an older
-//! commit. CI uploads the JSON next to
-//! `BENCH_fleet.json`, tracking the perf trajectory per primitive.
+//! for field rows), so the artifact records the optimization speedup
+//! live instead of relying on numbers copied from an older commit. CI
+//! uploads the JSON next to `BENCH_fleet.json`, tracking the perf
+//! trajectory per primitive.
 //!
 //! ```sh
 //! cargo run --release --bin bench_p256 -- --json BENCH_p256.json
@@ -164,15 +163,7 @@ fn rows() -> Vec<Row> {
         ns: time_ns(100, || {
             black_box(peer.public.mul_vartime(black_box(&k)));
         }),
-        // Reference: the retired 4-bit fixed-window walk the width-5
-        // wNAF path replaced, normalized to affine like the live row.
-        reference_ns: Some(time_ns(100, || {
-            black_box(
-                JacobianPoint::from_affine(&peer.public)
-                    .mul_vartime_window(black_box(&k))
-                    .to_affine(),
-            );
-        })),
+        reference_ns: None,
     });
     rows.push(Row {
         name: "multi_scalar_mul",
@@ -203,24 +194,7 @@ fn rows() -> Vec<Row> {
     rows.push(Row {
         name: "ecdsa_verify_separate",
         ns: time_ns(100, || {
-            black_box(ecdsa::verify_with(
-                &kp.public,
-                b"bench message",
-                &sig,
-                ecdsa::VerifyStrategy::SeparateMuls,
-            ));
-        }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "ecdsa_verify_shamir",
-        ns: time_ns(100, || {
-            black_box(ecdsa::verify_with(
-                &kp.public,
-                b"bench message",
-                &sig,
-                ecdsa::VerifyStrategy::Shamir,
-            ));
+            black_box(ecdsa::verify(&kp.public, b"bench message", &sig));
         }),
         reference_ns: None,
     });
@@ -239,7 +213,7 @@ fn rows() -> Vec<Row> {
 }
 
 fn json(rows: &[Row]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"bench-p256-v1\",\n  \"unit\": \"ns_per_op\",\n  \"reference\": \"retired implementation of the same row (generic MontCtx engine, or the pre-wNAF window walk for point_mul_vartime)\",\n  \"rows\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"bench-p256-v1\",\n  \"unit\": \"ns_per_op\",\n  \"reference\": \"retired implementation of the same row (the generic MontCtx engine)\",\n  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"ns\": {:.1}",

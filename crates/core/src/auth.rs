@@ -22,7 +22,7 @@
 
 use ecq_cert::{reconstruct_public_key, CertError, ImplicitCert};
 use ecq_crypto::ctr::ctr_blocks;
-use ecq_p256::ecdsa::{self, Signature, VerifyStrategy};
+use ecq_p256::ecdsa::{self, Signature};
 use ecq_p256::point::AffinePoint;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{OpTrace, PrimitiveOp, ProtocolError, SessionKey, StsPhase};
@@ -188,7 +188,7 @@ pub fn verify_response_hinted(
     msg[64..].copy_from_slice(xg_own);
 
     trace.record(StsPhase::Op4DecryptVerify, PrimitiveOp::EcdsaVerify);
-    if ecdsa::verify_with(&q_x, &msg, &sig, VerifyStrategy::SeparateMuls) {
+    if ecdsa::verify(&q_x, &msg, &sig) {
         Ok(())
     } else {
         Err(ProtocolError::AuthenticationFailed)

@@ -13,7 +13,7 @@
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
-use ecq_proto::transport::{ChannelTransport, Transport};
+use ecq_proto::transport::ChannelTransport;
 use ecq_proto::{run_handshake, Credentials, Endpoint, Role, SessionKey, StepOutput};
 use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
 
@@ -65,12 +65,12 @@ fn drive_transport(
         panic!("initiator must open");
     };
     wire.push(a1.encode());
-    link.send_frame(Role::Initiator, a1, now).unwrap();
+    link.send_frame(Role::Initiator, a1, now);
 
     let mut to = Role::Responder;
     while let Some(at) = link.next_delivery(to) {
         now = at;
-        let msg = link.recv_frame(to, now, now).unwrap().unwrap();
+        let msg = link.recv_frame(to, now).unwrap();
         match (if to == Role::Responder {
             bob.step(Some(&msg))
         } else {
@@ -80,7 +80,7 @@ fn drive_transport(
         {
             StepOutput::Send(reply) => {
                 wire.push(reply.encode());
-                link.send_frame(to, reply, now).unwrap();
+                link.send_frame(to, reply, now);
                 to = to.peer();
             }
             StepOutput::Established | StepOutput::Wait => break,

@@ -23,9 +23,9 @@
 //!
 //! A bus group — `group` consecutive sessions on one
 //! [`TransportKind::SharedBus`], or a single session on a private
-//! [`TransportKind::Channel`] / [`TransportKind::Socket`] link — shares
-//! no simulation state with any other group, so its entire outcome is
-//! a pure function of its own work items. Three rules keep the
+//! [`TransportKind::Channel`] link — shares no simulation state with
+//! any other group, so its entire outcome is a pure function of its
+//! own work items. Three rules keep the
 //! `(config, seed)` report bit-identical for any worker count and any
 //! admission window:
 //!
@@ -52,8 +52,7 @@ use crate::scheduler::{micros_from_ms, LaneScheduler, VirtualTime};
 use ecq_cert::CertError;
 use ecq_crypto::{ct, HmacDrbg};
 use ecq_devices::{DevicePreset, DeviceProfile};
-use ecq_proto::transport::{ChannelTransport, Transport};
-use ecq_proto::SocketPair;
+use ecq_proto::transport::ChannelTransport;
 use ecq_proto::{Credentials, Endpoint, OpTrace, ProtocolError, Role, SessionKey, StepOutput};
 use ecq_simnet::transport::pair_overheads;
 use ecq_simnet::{FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
@@ -77,13 +76,6 @@ pub enum TransportKind {
         /// Sessions per bus; session `i` rides bus `i / group`.
         group: usize,
     },
-    /// A real in-process socket pair per session
-    /// (`ecq_proto::SocketPair`): every wire message crosses a kernel
-    /// socket buffer in the versioned service frame format. Delivery
-    /// is immediate in virtual time, so reports stay deterministic;
-    /// this is the smoke path proving the service wire format carries
-    /// the sweep's exact byte streams.
-    Socket,
 }
 
 /// Revocation arriving *during* the sweep: from `at_us`, session
@@ -107,7 +99,7 @@ pub struct RevocationSpec {
 /// The struct is `#[non_exhaustive]`: build one with
 /// [`SweepOptions::new`] (or `default()`) and refine it with the
 /// builder methods, e.g.
-/// `SweepOptions::new().threads(8).transport(TransportKind::Socket)`.
+/// `SweepOptions::new().threads(8).transport(TransportKind::SharedBus { group: 4 })`.
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct SweepOptions {
@@ -117,7 +109,7 @@ pub struct SweepOptions {
     /// Link implementation for every pair.
     pub transport: TransportKind,
     /// Fault schedule applied to every CAN-FD bus (ignored by the
-    /// channel and socket links; [`FaultSpec::none`] injects nothing).
+    /// channel link; [`FaultSpec::none`] injects nothing).
     /// The spec's `deadline_us` bounds the sweep: sessions unfinished
     /// at the deadline fail closed with [`ProtocolError::Timeout`].
     pub faults: FaultSpec,
@@ -281,10 +273,10 @@ pub(crate) struct GroupOutcome {
     pub buses: Vec<BusTrace>,
 }
 
-/// The wire under one session: private (owned transport) or a slot on
-/// a shared bus co-owned by the worker's bus group.
+/// The wire under one session: a private channel or a slot on a shared
+/// bus co-owned by the worker's bus group.
 enum Link {
-    Private(Box<dyn Transport>),
+    Channel(ChannelTransport),
     Shared {
         bus: Rc<RefCell<SharedBus>>,
         bus_id: usize,
@@ -365,23 +357,19 @@ impl Live {
         Ok((out, now + micros_from_ms(cost)))
     }
 
-    fn recv_message(
-        &mut self,
-        to: Role,
-        now: VirtualTime,
-    ) -> Result<Option<ecq_proto::Message>, ProtocolError> {
+    fn recv_message(&mut self, to: Role, now: VirtualTime) -> Option<ecq_proto::Message> {
         match &mut self.link {
-            Link::Private(t) => Ok(t.recv_frame(to, now, now)?),
-            Link::Shared { bus, slot, .. } => Ok(bus.borrow_mut().recv(*slot, to, now)),
+            Link::Channel(t) => t.recv_frame(to, now),
+            Link::Shared { bus, slot, .. } => bus.borrow_mut().recv(*slot, to, now),
         }
     }
 
     fn capture_stats(&mut self) {
         match &self.link {
-            Link::Private(t) => {
+            Link::Channel(t) => {
                 self.result.messages = t.messages_carried();
                 self.result.wire_bytes = t.bytes_carried();
-                self.result.frames = t.frames_carried();
+                self.result.frames = 0;
             }
             Link::Shared { bus, slot, .. } => {
                 let s = bus.borrow().slot_stats(*slot);
@@ -419,8 +407,8 @@ impl Live {
 }
 
 /// Sends `msg` over the session's link and schedules the follow-up
-/// event: the peer's delivery (private links decide arrival themselves)
-/// or a bus-advance (shared links arbitrate first).
+/// event: the peer's delivery (a channel decides arrival itself) or a
+/// bus-advance (shared links arbitrate first).
 fn dispatch_send(
     session: &mut Live,
     slot: usize,
@@ -430,21 +418,17 @@ fn dispatch_send(
     scheduler: &mut LaneScheduler<Event>,
 ) {
     match &mut session.link {
-        Link::Private(t) => match t.send_frame(from, msg, done_at) {
-            Ok(arrival) => {
-                scheduler.schedule(
-                    arrival,
-                    session.index as u64,
-                    Event::Deliver {
-                        slot,
-                        to: from.peer(),
-                    },
-                );
-            }
-            // A link that refuses a frame fails the session closed —
-            // virtual links never do; a socket link surfaces real I/O.
-            Err(e) => session.fail(e.into(), done_at),
-        },
+        Link::Channel(t) => {
+            let arrival = t.send_frame(from, msg, done_at);
+            scheduler.schedule(
+                arrival,
+                session.index as u64,
+                Event::Deliver {
+                    slot,
+                    to: from.peer(),
+                },
+            );
+        }
         Link::Shared {
             bus,
             bus_id,
@@ -495,27 +479,34 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
         // Register the bus slot for *every* session — including denied
         // ones — so slot numbering (and thus arbitration priority)
         // matches the global layout `bus slot = index % group`.
-        let shared = if let TransportKind::SharedBus { group } = cfg.transport {
-            let group = group.max(1);
-            let bus_id = w.index / group;
-            let bus = buses
-                .entry(bus_id)
-                .or_insert_with(|| {
-                    Rc::new(RefCell::new(SharedBus::new(FaultPlan::new(
-                        cfg.faults,
-                        bus_id as u64,
-                    ))))
-                })
-                .clone();
-            let bus_slot = bus.borrow_mut().add_slot(
-                (w.index & 0xFFFF) as u16,
-                pair_overheads(&w.preset_a.profile(), &w.preset_b.profile()),
-            );
-            debug_assert_eq!(bus_slot, w.index % group, "bus slots follow session order");
-            slot_of.insert((bus_id, bus_slot), slot);
-            Some((bus, bus_id, bus_slot))
-        } else {
-            None
+        let link = match cfg.transport {
+            TransportKind::SharedBus { group } => {
+                let group = group.max(1);
+                let bus_id = w.index / group;
+                let bus = buses
+                    .entry(bus_id)
+                    .or_insert_with(|| {
+                        Rc::new(RefCell::new(SharedBus::new(FaultPlan::new(
+                            cfg.faults,
+                            bus_id as u64,
+                        ))))
+                    })
+                    .clone();
+                let bus_slot = bus.borrow_mut().add_slot(
+                    (w.index & 0xFFFF) as u16,
+                    pair_overheads(&w.preset_a.profile(), &w.preset_b.profile()),
+                );
+                debug_assert_eq!(bus_slot, w.index % group, "bus slots follow session order");
+                slot_of.insert((bus_id, bus_slot), slot);
+                Link::Shared {
+                    bus,
+                    bus_id,
+                    slot: bus_slot,
+                }
+            }
+            TransportKind::Channel { latency_us } => {
+                Link::Channel(ChannelTransport::new(latency_us))
+            }
         };
         if w.denied {
             if let Some(d) = denied_slots.get_mut(slot) {
@@ -531,26 +522,6 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
             scheduler.schedule(0, w.index as u64, Event::Kickoff { slot });
             continue;
         }
-        let link = match shared {
-            Some((bus, bus_id, bus_slot)) => Link::Shared {
-                bus,
-                bus_id,
-                slot: bus_slot,
-            },
-            None => match make_transport(&cfg.transport) {
-                Some(t) => Link::Private(t),
-                None => {
-                    // A session whose link cannot be built (no bus
-                    // slot registered, socket-pair creation refused)
-                    // cannot be simulated; fail it closed.
-                    if let Some(p) = poisoned.get_mut(slot) {
-                        *p = true;
-                    }
-                    live.push(None);
-                    continue;
-                }
-            },
-        };
         // Mirror `ecq_sts::establish`: one stream per role, initiator
         // first, derived from the pair's wire seed.
         let mut rng = HmacDrbg::new(&w.wire_seed, b"fleet-pair-wire");
@@ -627,8 +598,8 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
                     }
                 }
                 let msg = match session.recv_message(to, now) {
-                    Ok(Some(msg)) => msg,
-                    Ok(None) => {
+                    Some(msg) => msg,
+                    None => {
                         // A shared-bus delivery can evaporate (the
                         // message was lost to faults after its sibling
                         // scheduled this event, or a replay already
@@ -638,10 +609,6 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
                             matches!(session.link, Link::Shared { .. }),
                             "private delivery must be due"
                         );
-                        continue;
-                    }
-                    Err(e) => {
-                        session.fail(e, now);
                         continue;
                     }
                 };
@@ -773,22 +740,6 @@ fn assert_complete_buses(work: &[SessionWork], group: usize, total: usize) {
             "bus split across sweep shards: bus {bus} needs sessions {expected:?} \
              in one worker but got {present:?} (shard whole buses, not pairs)"
         );
-    }
-}
-
-/// Builds a private per-session transport. Returns `None` under a
-/// shared-bus transport: those sessions ride `Link::Shared`, and a
-/// caller that reaches this without a registered bus slot must fail
-/// the session closed rather than abort.
-fn make_transport(kind: &TransportKind) -> Option<Box<dyn Transport>> {
-    match kind {
-        TransportKind::Channel { latency_us } => Some(Box::new(ChannelTransport::new(*latency_us))),
-        TransportKind::SharedBus { .. } => None,
-        // Socket-pair creation can fail (fd exhaustion); the caller
-        // fails that session closed rather than aborting the sweep.
-        TransportKind::Socket => SocketPair::open()
-            .ok()
-            .map(|pair| Box::new(pair) as Box<dyn Transport>),
     }
 }
 

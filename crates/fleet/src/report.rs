@@ -53,7 +53,7 @@ pub struct FleetReport {
     /// scheduler invariant or crashed worker; 0 on a healthy run).
     pub poisoned: u64,
     /// Fault-engine activity summed over every CAN-FD bus in the
-    /// sweeps (all-zero for channel/socket links or an inactive fault
+    /// sweeps (all-zero for channel links or an inactive fault
     /// spec).
     pub faults: ecq_simnet::FaultCounters,
     /// SHA-256 over every session's outcome (key bytes or failure

@@ -5,8 +5,9 @@
 //! the four-message handshake, a corrupted authentication response, a
 //! replayed first flight, a revocation landing between STS steps, a
 //! babbling node hogging arbitration — together with the outcome the
-//! protocol analysis (§IV of the paper) predicts for it. The
-//! [`Scenario::verify`] contract is the security statement under test:
+//! protocol analysis (§IV of the paper) predicts for it. The contract
+//! [`Scenario::assert_contract`] checks is the security statement under
+//! test:
 //!
 //! * a completing handshake ends with **bit-equal session keys** on
 //!   both endpoints,
@@ -134,7 +135,7 @@ impl Scenario {
     ///
     /// Panics — with the scenario name in the message — when any part
     /// of the contract is violated.
-    pub fn verify(&self) -> ScenarioOutcome {
+    pub fn assert_contract(&self) -> ScenarioOutcome {
         let name = self.name;
         let out = self.run();
         for (i, failure) in out.session_failures.iter().enumerate() {

@@ -15,12 +15,10 @@
 //! * **`*_vartime`** — faster, schedule leaks the scalar's digit
 //!   pattern: [`mul_generator_vartime`], [`AffinePoint::mul_vartime`]
 //!   (width-5 wNAF over an odd-multiples table) and
-//!   [`multi_scalar_mul`] (interleaved wNAF sharing one doubling
-//!   ladder and one table inversion). Only for public inputs: ECDSA
-//!   verification, eq. (1) public-key reconstruction, benches and
-//!   attack simulations. The retired 4-bit fixed-window walk survives
-//!   as [`JacobianPoint::mul_vartime_window`], the differential-test
-//!   and bench baseline for the wNAF path.
+//!   [`multi_scalar_mul`] (two interleaved wNAF terms sharing one
+//!   table inversion), both running the same private wNAF doubling
+//!   ladder. Only for public inputs: ECDSA verification, eq. (1)
+//!   public-key reconstruction, benches and attack simulations.
 //!
 //! The op-counter (the `ops` module, compiled under `cfg(test)` or the
 //! `schedule-counters` feature) asserts the ct schedules are
@@ -468,12 +466,10 @@ impl JacobianPoint {
     /// Recodes `k` into signed odd digits `±{1,3,…,15}` (at most one
     /// nonzero digit per 5 bits), precomputes the eight odd multiples
     /// `1·P, 3·P … 15·P` normalized to affine around one shared
-    /// inversion, then runs one doubling ladder with a mixed
-    /// Jacobian+affine addition per nonzero digit — ~255 doublings and
-    /// ~43 additions on average, versus ~252 doublings and ~60 full
-    /// Jacobian additions for the 4-bit window walk it replaced
-    /// ([`Self::mul_vartime_window`]). Negative digits reuse the table
-    /// entry negated, so the table stays eight entries.
+    /// inversion, then runs the one-term case of the shared wNAF ladder
+    /// (the ladder [`multi_scalar_mul`] runs with two terms): ~255
+    /// doublings and ~43 mixed additions on average. Negative digits
+    /// reuse the table entry negated, so the table stays eight entries.
     ///
     /// The schedule leaks the scalar's digit pattern: only for public
     /// scalars (ECDSA verification, benches, attack tooling). Secret
@@ -484,44 +480,7 @@ impl JacobianPoint {
             return Self::identity();
         }
         let table = normalize_fixed(&self.wnaf_table_vartime());
-        let (digits, len) = wnaf5_vartime(&kv);
-        let mut acc = Self::identity();
-        for i in (0..len).rev() {
-            if !acc.is_identity() {
-                acc = acc.double();
-            }
-            let d = digits[i];
-            if d != 0 {
-                acc = acc.add_affine(&wnaf_entry_vartime(&table, d));
-            }
-        }
-        acc
-    }
-
-    /// Variable-time scalar multiplication with a 4-bit fixed window —
-    /// the pre-wNAF path, kept as the differential-test and bench
-    /// baseline for [`Self::mul_vartime`].
-    ///
-    /// Zero windows skip the table addition, so the group-operation
-    /// schedule leaks the scalar's nibble pattern: only for public
-    /// scalars.
-    pub fn mul_vartime_window(&self, k: &Scalar) -> JacobianPoint {
-        let kv = k.to_canonical();
-        if kv.is_zero() || self.is_identity() {
-            return Self::identity();
-        }
-        let table = self.vartime_window_table();
-        let mut acc = Self::identity();
-        for w in (0..64).rev() {
-            if !acc.is_identity() {
-                acc = acc.double().double().double().double();
-            }
-            let nib = kv.nibble(w);
-            if nib != 0 {
-                acc = acc.add(&table[nib as usize - 1]);
-            }
-        }
-        acc
+        wnaf_ladder_vartime(&[wnaf_term_vartime(&kv, table)])
     }
 
     /// Precomputes the odd multiples `1·P, 3·P … 15·P` for the width-5
@@ -533,20 +492,6 @@ impl JacobianPoint {
             m[i] = m[i - 1].add(&twice);
         }
         m
-    }
-
-    /// Precomputes `1·P … 15·P` for the 4-bit vartime window walks
-    /// (shared by [`Self::mul_vartime`] and [`multi_scalar_mul`]).
-    fn vartime_window_table(&self) -> [JacobianPoint; 15] {
-        let mut table = [*self; 15];
-        for i in 2..=15 {
-            table[i - 1] = if i % 2 == 0 {
-                table[i / 2 - 1].double()
-            } else {
-                table[i - 2].add(self)
-            };
-        }
-        table
     }
 
     /// Constant-schedule scalar multiplication `k·self` for secret `k`.
@@ -795,13 +740,49 @@ fn wnaf_entry_vartime(table: &[AffinePoint; 8], d: i8) -> AffinePoint {
     }
 }
 
+/// One `k·P` term of the wNAF ladder: `k`'s width-5 digits (with their
+/// count) and `P`'s affine odd-multiples table.
+struct WnafTerm {
+    digits: [i8; 257],
+    len: usize,
+    table: [AffinePoint; 8],
+}
+
+/// Recodes `k` into a ladder term over `table`.
+fn wnaf_term_vartime(k: &U256, table: [AffinePoint; 8]) -> WnafTerm {
+    let (digits, len) = wnaf5_vartime(k);
+    WnafTerm { digits, len, table }
+}
+
+/// The variable-base vartime ladder: `Σ kᵢ·Pᵢ` over one or two terms,
+/// one doubling per digit position (skipped while the accumulator is
+/// the identity) and one mixed addition per nonzero digit of each
+/// term. An identity table entry adds nothing: `add_affine` passes it
+/// through.
+fn wnaf_ladder_vartime(terms: &[WnafTerm]) -> JacobianPoint {
+    let len = terms.iter().map(|t| t.len).max().unwrap_or(0);
+    let mut acc = JacobianPoint::identity();
+    for i in (0..len).rev() {
+        if !acc.is_identity() {
+            acc = acc.double();
+        }
+        for term in terms {
+            let d = term.digits[i];
+            if d != 0 {
+                acc = acc.add_affine(&wnaf_entry_vartime(&term.table, d));
+            }
+        }
+    }
+    acc
+}
+
 /// Shamir/Straus double-scalar multiplication: computes `a·P + b·Q`
 /// with one shared doubling ladder over interleaved width-5 wNAF
 /// digits — two 8-entry odd-multiples tables normalized around a
 /// *single* shared field inversion, one doubling per bit, and at most
 /// one mixed addition per scalar per 5 bits. Variable-time by
-/// construction; only for public inputs (ECDSA verification, the
-/// eq. (1) ECQV public-key reconstruction, attack tooling).
+/// construction; only for public inputs (the eq. (1) ECQV public-key
+/// reconstruction, attack tooling).
 // ct-vartime: interleaved wNAF, schedule depends on both scalars.
 pub fn multi_scalar_mul(a: &Scalar, p: &AffinePoint, b: &Scalar, q: &AffinePoint) -> AffinePoint {
     multi_scalar_mul_jacobian(a, p, b, q).to_affine()
@@ -819,57 +800,28 @@ pub fn multi_scalar_mul_jacobian(
 ) -> JacobianPoint {
     let av = a.to_canonical();
     let bv = b.to_canonical();
-    // A unit scalar contributes exactly one mixed addition of its
-    // affine base at digit 0 — no table needed. The eq. (1)
-    // reconstruction's `+ Q_CA` term rides this case on every
-    // certificate validation.
-    let unit_a = av == U256::ONE;
-    let unit_b = bv == U256::ONE;
-    let need_a = !unit_a && !av.is_zero() && !p.infinity;
-    let need_b = !unit_b && !bv.is_zero() && !q.infinity;
     // Both odd-multiples tables normalize around one shared inversion;
-    // unused halves stay at the identity and skip the product.
+    // unused halves stay at the identity and skip the product. A unit
+    // scalar (eq. (1)'s `+ Q_CA` on every certificate validation) has
+    // the single digit 1, so its table is just `[P, identity…]` and
+    // needs no build.
     let mut joint = [JacobianPoint::identity(); 16];
-    if need_a {
-        joint[..8].copy_from_slice(&JacobianPoint::from_affine(p).wnaf_table_vartime());
-    }
-    if need_b {
-        joint[8..].copy_from_slice(&JacobianPoint::from_affine(q).wnaf_table_vartime());
+    for (half, (k, base)) in joint.chunks_exact_mut(8).zip([(&av, p), (&bv, q)]) {
+        if *k != U256::ONE && !k.is_zero() && !base.infinity {
+            half.copy_from_slice(&JacobianPoint::from_affine(base).wnaf_table_vartime());
+        }
     }
     let joint = normalize_fixed(&joint);
-    let mut ta = [AffinePoint::identity(); 8];
-    let mut tb = [AffinePoint::identity(); 8];
-    ta.copy_from_slice(&joint[..8]);
-    tb.copy_from_slice(&joint[8..]);
-
-    let (da, la) = wnaf5_vartime(&av);
-    let (db, lb) = wnaf5_vartime(&bv);
-    let mut acc = JacobianPoint::identity();
-    for i in (0..la.max(lb)).rev() {
-        if !acc.is_identity() {
-            acc = acc.double();
+    let term = |k: &U256, base: &AffinePoint, half: &[AffinePoint]| {
+        let mut table = [AffinePoint::identity(); 8];
+        if *k == U256::ONE {
+            table[0] = *base;
+        } else {
+            table.copy_from_slice(half);
         }
-        let dig_a = da[i];
-        if dig_a != 0 {
-            // An identity base contributes nothing: its table (or, for
-            // a unit scalar, the base itself) adds the identity, which
-            // `add_affine` passes through.
-            acc = if unit_a {
-                acc.add_affine(p)
-            } else {
-                acc.add_affine(&wnaf_entry_vartime(&ta, dig_a))
-            };
-        }
-        let dig_b = db[i];
-        if dig_b != 0 {
-            acc = if unit_b {
-                acc.add_affine(q)
-            } else {
-                acc.add_affine(&wnaf_entry_vartime(&tb, dig_b))
-            };
-        }
-    }
-    acc
+        wnaf_term_vartime(k, table)
+    };
+    wnaf_ladder_vartime(&[term(&av, p, &joint[..8]), term(&bv, q, &joint[8..])])
 }
 
 #[cfg(test)]
@@ -998,13 +950,25 @@ mod tests {
             multi_scalar_mul_jacobian(&r, &g, &Scalar::one(), &q).to_affine(),
             multi_scalar_mul(&r, &g, &Scalar::one(), &q)
         );
+        // The one-term ladder equals the two-term ladder with a zero
+        // second scalar.
+        for (i, a) in edge_scalars().iter().enumerate() {
+            for (k, p) in [g, q, id].iter().enumerate() {
+                assert_eq!(
+                    p.mul_vartime(a),
+                    multi_scalar_mul(a, p, &Scalar::zero(), &q),
+                    "a {i}, base {k}"
+                );
+            }
+        }
     }
 
     #[test]
     fn wnaf_matches_window_reference() {
-        // The wNAF path against the retired 4-bit window walk, over the
-        // same edge-scalar sweep the ct tests use plus extra sparse and
-        // dense patterns, for generator / random / identity bases.
+        // The wNAF path against the independent 4-bit constant-time
+        // window walk, over the same edge-scalar sweep the ct tests use
+        // plus extra sparse and dense patterns, for generator / random /
+        // identity bases.
         let mut rng = HmacDrbg::from_seed(0xE6);
         let g = JacobianPoint::from_affine(&AffinePoint::generator());
         let bases = [
@@ -1018,11 +982,7 @@ mod tests {
         scalars.push(pow2_scalar(255).add(&Scalar::one())); // sparse ends
         for (bi, base) in bases.iter().enumerate() {
             for (i, k) in scalars.iter().enumerate() {
-                assert_eq!(
-                    base.mul_vartime(k),
-                    base.mul_vartime_window(k),
-                    "base {bi}, scalar {i}"
-                );
+                assert_eq!(base.mul_vartime(k), base.mul_ct(k), "base {bi}, scalar {i}");
             }
         }
     }

@@ -28,19 +28,16 @@
 //! Montgomery's trick). A process that only ever runs secret-scalar
 //! paths never pays for the wide comb.
 //!
-//! **Why ECDSA verification still runs two separate multiplications.**
-//! The wide comb is also the reason Shamir/Straus loses the
-//! verification bake-off, re-measured after the width-5 wNAF rework of
-//! `mul_vartime`: separate muls cost one comb-backed `u1·G` (~19 µs
-//! here, 31 additions, zero doublings) plus one wNAF `u2·Q` (~100 µs),
-//! totalling ~120 µs, while the interleaved Straus pass (~135 µs) must
-//! drag `u1·G` through the full 256-doubling ladder because a shared
-//! ladder cannot ride a fixed-base comb. wNAF narrowed the gap (it
-//! shaved both `u2·Q` and the Straus digit schedule) but did not close
-//! it, so [`crate::ecdsa::VerifyStrategy::SeparateMuls`] stays the
-//! default and Shamir remains an ablation. Re-run
-//! `cargo run --release --bin bench_p256` after touching either path;
-//! the `ecdsa_verify_*` rows are the decision record.
+//! **Why ECDSA verification uses the comb.** Verification computes
+//! `u1·G + u2·Q`. Its one path runs two separate multiplications: the
+//! comb-backed `u1·G` (31 additions, zero doublings) plus one wNAF
+//! `u2·Q`. One interleaved `u1·G + u2·Q` ladder
+//! ([`crate::point::multi_scalar_mul`]) would share `u2·Q`'s doublings
+//! but drag `u1·G` through all ~256 of them, because a shared ladder
+//! cannot ride a fixed-base comb. Measured on a 2-vCPU x86-64
+//! container, the interleaved ladder lost every run (248.6 µs against
+//! 227.1 µs in one `bench_p256` run), so it was deleted as a verify
+//! path.
 
 use crate::point::{batch_normalize, AffinePoint, JacobianPoint};
 use std::sync::OnceLock;

@@ -4,7 +4,7 @@
 //! low — every case costs several scalar multiplications.
 
 use ecq_crypto::HmacDrbg;
-use ecq_p256::ecdsa::{self, VerifyStrategy};
+use ecq_p256::ecdsa;
 use ecq_p256::encoding;
 use ecq_p256::keys::KeyPair;
 use ecq_p256::point::{
@@ -172,13 +172,14 @@ proptest! {
         sparse in arb_sparse_scalar(),
         dense_byte in 1u8..=255,
     ) {
-        // The width-5 wNAF `mul_vartime` against the retired 4-bit
-        // window walk it replaced, over random, sparse-NAF (single
-        // nonzero digit), dense-NAF (every byte set) and edge scalars.
+        // The width-5 wNAF `mul_vartime` against the independent 4-bit
+        // constant-time window walk `mul_ct`, over random, sparse-NAF
+        // (single nonzero digit), dense-NAF (every byte set) and edge
+        // scalars.
         let base = JacobianPoint::from_affine(&mul_generator_vartime(&base_scalar));
         let dense = Scalar::from_reduced(&U256::from_be_bytes(&[dense_byte; 32]));
         for k in [a, sparse, dense].into_iter().chain(edge_scalars()) {
-            prop_assert_eq!(base.mul_vartime(&k), base.mul_vartime_window(&k));
+            prop_assert_eq!(base.mul_vartime(&k), base.mul_ct(&k));
         }
     }
 
@@ -186,8 +187,7 @@ proptest! {
     fn ecdsa_roundtrip_and_strategy_agreement(key in arb_scalar(), msg in any::<[u8; 24]>()) {
         let kp = KeyPair::from_private(key);
         let sig = ecdsa::sign(&kp.private, &msg);
-        prop_assert!(ecdsa::verify_with(&kp.public, &msg, &sig, VerifyStrategy::SeparateMuls));
-        prop_assert!(ecdsa::verify_with(&kp.public, &msg, &sig, VerifyStrategy::Shamir));
+        prop_assert!(ecdsa::verify(&kp.public, &msg, &sig));
         prop_assert!(!sig.s.is_high());
         // Tampered message rejected.
         let mut other = msg;

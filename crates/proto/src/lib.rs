@@ -11,13 +11,14 @@
 //! * [`endpoint`] — the two-party state-machine abstraction (poll-style
 //!   [`endpoint::Endpoint::step`]) and the run-to-completion driver
 //!   that produces [`transcript::Transcript`]s,
-//! * [`transport`] — the message-granularity [`transport::Transport`]
-//!   link abstraction with the in-memory channel implementation,
+//! * [`transport`] — the message-granularity private link
+//!   ([`transport::ChannelTransport`]) and the per-direction delivery
+//!   queues it shares with the CAN-FD bus model,
 //! * [`framing`] — the versioned, length-prefixed service wire format
 //!   (magic, protocol version, cryptosystem identifier) with a total
 //!   fail-closed decoder,
-//! * [`socket`] — real-socket [`transport::Transport`] implementations
-//!   over the framing layer (TCP / Unix streams, in-process pairs),
+//! * [`socket`] — framed reads and writes over real byte streams
+//!   (TCP / Unix) with wall-clock read deadlines,
 //! * [`error`] — the shared error types ([`ProtocolError`],
 //!   [`TransportError`]).
 
@@ -39,10 +40,9 @@ pub use endpoint::{run_handshake, Endpoint, Role, StepOutput};
 pub use error::{ProtocolError, TransportError};
 pub use framing::{Frame, FrameKind};
 pub use session::SessionKey;
-pub use socket::{SocketPair, StreamTransport};
 pub use trace::{OpTrace, PrimitiveOp, StsPhase};
 pub use transcript::Transcript;
-pub use transport::{ChannelTransport, DirectionalQueues, Transport, TransportTime};
+pub use transport::{ChannelTransport, DirectionalQueues, TransportTime};
 pub use wire::{FieldKind, Message, WireField};
 
 /// The seven protocol variants evaluated in the paper (Tables I–III).

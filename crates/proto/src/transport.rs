@@ -1,113 +1,43 @@
-//! Message-granularity transports between two handshake endpoints.
+//! The message-granularity private link between two handshake
+//! endpoints.
 //!
-//! A [`Transport`] carries one link's wire messages between the
-//! [`crate::endpoint::Role::Initiator`] and the
-//! [`crate::endpoint::Role::Responder`] with explicit virtual-time
+//! A [`ChannelTransport`] carries one session's wire messages between
+//! the [`crate::endpoint::Role::Initiator`] and the
+//! [`crate::endpoint::Role::Responder`] with a fixed virtual-time
 //! latency, so a discrete-event scheduler can deliver each handshake
 //! message as its own event instead of running a handshake to
-//! completion in one step. Two implementations exist:
-//!
-//! * [`ChannelTransport`] (here) — an in-memory FIFO pair with a fixed
-//!   per-message latency; the reference implementation and the fast
-//!   path for tests,
-//! * [`crate::SocketPair`] — a real in-process socket pair carrying
-//!   the versioned service frame format.
+//! completion in one step.
 //!
 //! The CAN-FD model (`ecq_simnet::SharedBus`) carries many sessions on
-//! one arbitrated bus, so it is driven through its own slot API rather
-//! than this point-to-point trait.
+//! one arbitrated bus, so it has its own slot API; it shares the
+//! per-direction queues ([`DirectionalQueues`]) defined here. Both
+//! links keep the same contract:
 //!
-//! The contract every implementation upholds:
-//!
-//! 1. **Determinism** (virtual-time transports) — delivery times are a
-//!    pure function of the submitted messages and their timestamps; no
-//!    wall clock, no randomness. Real-socket transports trade this for
-//!    wall-clock concurrency and live outside the simulator's
-//!    determinism envelope (see `ecq_service`).
+//! 1. **Determinism** — delivery times are a pure function of the
+//!    submitted messages and their timestamps; no wall clock, no
+//!    randomness.
 //! 2. **FIFO per direction** — messages from one role arrive in the
 //!    order they were sent (a CAN link cannot reorder one sender's
 //!    ISO-TP messages).
-//! 3. **Positive progress** — `send_frame` never returns a time earlier
-//!    than `now`, so an event scheduler driving the link always
+//! 3. **Positive progress** — a send never returns a delivery time
+//!    earlier than `now`, so an event scheduler driving the link always
 //!    advances.
-//! 4. **Fail closed** — a frame the link cannot carry or decode is
-//!    surfaced as a typed [`TransportError`], never delivered partially
-//!    and never panicked on.
+//!
+//! Real sockets (`ecq_service`) carry the same messages in the
+//! versioned [`crate::framing`] format through [`crate::socket`].
 
 use crate::endpoint::Role;
-use crate::error::TransportError;
 use crate::wire::Message;
 use std::collections::VecDeque;
 
 /// Virtual time in microseconds (the fleet scheduler's clock).
 pub type TransportTime = u64;
 
-/// A bidirectional link carrying wire messages between the two roles of
-/// one handshake, with virtual-time delivery accounting.
-///
-/// The API is framed: one handshake [`Message`] in, one frame on the
-/// link, one [`Message`] out. The virtual-time implementation
-/// ([`ChannelTransport`]) is infallible in practice and always returns
-/// `Ok`; real-socket implementations ([`crate::SocketPair`],
-/// `ecq_service::SocketTransport`) surface I/O and framing failures as
-/// [`TransportError`].
-pub trait Transport {
-    /// Submits `message` from `from` at virtual time `now_us`. Returns
-    /// the virtual time at which the peer can receive it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] when the frame cannot be carried
-    /// (encoding failure, oversized frame, socket I/O failure).
-    fn send_frame(
-        &mut self,
-        from: Role,
-        message: Message,
-        now_us: TransportTime,
-    ) -> Result<TransportTime, TransportError>;
-
-    /// Delivers the earliest message queued for `to` whose delivery
-    /// time is `<= now_us`, or `Ok(None)` when nothing has arrived yet.
-    ///
-    /// `deadline_us` is the caller's receive deadline. Virtual-time
-    /// transports never block and treat it as advisory; blocking
-    /// socket transports wait up to `deadline_us - now_us`
-    /// (wall-clock microseconds) for a frame before returning
-    /// [`TransportError::Timeout`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] when a frame arrives but cannot be
-    /// decoded, or when the link itself fails.
-    fn recv_frame(
-        &mut self,
-        to: Role,
-        now_us: TransportTime,
-        deadline_us: TransportTime,
-    ) -> Result<Option<Message>, TransportError>;
-
-    /// The earliest pending delivery time for `to`, if any message is
-    /// in flight toward it.
-    fn next_delivery(&self, to: Role) -> Option<TransportTime>;
-
-    /// Total payload bytes accepted by [`Transport::send_frame`] so far.
-    fn bytes_carried(&self) -> u64;
-
-    /// Total messages accepted by [`Transport::send_frame`] so far.
-    fn messages_carried(&self) -> u64;
-
-    /// Link-layer frames moved so far (0 for transports that do not
-    /// segment messages into frames).
-    fn frames_carried(&self) -> u64 {
-        0
-    }
-}
-
-/// The per-direction FIFO delivery queues every transport
-/// implementation shares. `push` clamps each delivery to no earlier
-/// than the last one queued toward the same receiver, so the
+/// The per-direction FIFO delivery queues that [`ChannelTransport`]
+/// and `ecq_simnet::SharedBus` share. `push` clamps each delivery to no
+/// earlier than the last one queued toward the same receiver, so the
 /// FIFO-per-direction contract holds by construction even when a
-/// transport's latency model would otherwise let a small late message
+/// link's latency model would otherwise let a small late message
 /// overtake a large earlier one.
 #[derive(Debug, Default)]
 pub struct DirectionalQueues {
@@ -189,40 +119,40 @@ impl ChannelTransport {
             ..Self::default()
         }
     }
-}
 
-impl Transport for ChannelTransport {
-    fn send_frame(
+    /// Submits `message` from `from` at virtual time `now_us`. Returns
+    /// the virtual time at which the peer can receive it.
+    pub fn send_frame(
         &mut self,
         from: Role,
         message: Message,
         now_us: TransportTime,
-    ) -> Result<TransportTime, TransportError> {
+    ) -> TransportTime {
         self.bytes += message.wire_len() as u64;
         self.messages += 1;
-        Ok(self
-            .queues
-            .push(from.peer(), now_us.saturating_add(self.latency_us), message))
+        self.queues
+            .push(from.peer(), now_us.saturating_add(self.latency_us), message)
     }
 
-    fn recv_frame(
-        &mut self,
-        to: Role,
-        now_us: TransportTime,
-        _deadline_us: TransportTime,
-    ) -> Result<Option<Message>, TransportError> {
-        Ok(self.queues.pop_due(to, now_us))
+    /// Delivers the earliest message queued for `to` whose delivery
+    /// time is `<= now_us`, or `None` when nothing has arrived yet.
+    pub fn recv_frame(&mut self, to: Role, now_us: TransportTime) -> Option<Message> {
+        self.queues.pop_due(to, now_us)
     }
 
-    fn next_delivery(&self, to: Role) -> Option<TransportTime> {
+    /// The earliest pending delivery time for `to`, if any message is
+    /// in flight toward it.
+    pub fn next_delivery(&self, to: Role) -> Option<TransportTime> {
         self.queues.next_delivery(to)
     }
 
-    fn bytes_carried(&self) -> u64 {
+    /// Total payload bytes accepted by [`Self::send_frame`] so far.
+    pub fn bytes_carried(&self) -> u64 {
         self.bytes
     }
 
-    fn messages_carried(&self) -> u64 {
+    /// Total messages accepted by [`Self::send_frame`] so far.
+    pub fn messages_carried(&self) -> u64 {
         self.messages
     }
 }
@@ -236,31 +166,25 @@ mod tests {
         Message::new(step, vec![WireField::new(FieldKind::Ack, vec![byte])])
     }
 
-    /// Non-blocking receive helper: virtual transports ignore the
-    /// deadline, so pass `now` for both.
-    fn take(t: &mut ChannelTransport, to: Role, now: TransportTime) -> Option<Message> {
-        t.recv_frame(to, now, now).unwrap()
-    }
-
     #[test]
     fn latency_defers_delivery() {
         let mut t = ChannelTransport::new(250);
-        let at = t.send_frame(Role::Initiator, msg("A1", 1), 100).unwrap();
+        let at = t.send_frame(Role::Initiator, msg("A1", 1), 100);
         assert_eq!(at, 350);
         assert_eq!(t.next_delivery(Role::Responder), Some(350));
-        assert!(take(&mut t, Role::Responder, 349).is_none());
-        let m = take(&mut t, Role::Responder, 350).unwrap();
+        assert!(t.recv_frame(Role::Responder, 349).is_none());
+        let m = t.recv_frame(Role::Responder, 350).unwrap();
         assert_eq!(m.step, "A1");
-        assert!(take(&mut t, Role::Responder, 400).is_none());
+        assert!(t.recv_frame(Role::Responder, 400).is_none());
     }
 
     #[test]
     fn directions_are_independent() {
         let mut t = ChannelTransport::new(0);
-        t.send_frame(Role::Initiator, msg("A1", 1), 0).unwrap();
-        t.send_frame(Role::Responder, msg("B1", 2), 0).unwrap();
-        assert_eq!(take(&mut t, Role::Initiator, 0).unwrap().step, "B1");
-        assert_eq!(take(&mut t, Role::Responder, 0).unwrap().step, "A1");
+        t.send_frame(Role::Initiator, msg("A1", 1), 0);
+        t.send_frame(Role::Responder, msg("B1", 2), 0);
+        assert_eq!(t.recv_frame(Role::Initiator, 0).unwrap().step, "B1");
+        assert_eq!(t.recv_frame(Role::Responder, 0).unwrap().step, "A1");
         assert_eq!(t.messages_carried(), 2);
         assert_eq!(t.bytes_carried(), 2);
     }
@@ -268,11 +192,11 @@ mod tests {
     #[test]
     fn fifo_within_a_direction() {
         let mut t = ChannelTransport::new(10);
-        t.send_frame(Role::Initiator, msg("A1", 1), 0).unwrap();
-        t.send_frame(Role::Initiator, msg("A2", 2), 5).unwrap();
-        assert_eq!(take(&mut t, Role::Responder, 100).unwrap().step, "A1");
-        assert_eq!(take(&mut t, Role::Responder, 100).unwrap().step, "A2");
-        assert!(take(&mut t, Role::Responder, 100).is_none());
+        t.send_frame(Role::Initiator, msg("A1", 1), 0);
+        t.send_frame(Role::Initiator, msg("A2", 2), 5);
+        assert_eq!(t.recv_frame(Role::Responder, 100).unwrap().step, "A1");
+        assert_eq!(t.recv_frame(Role::Responder, 100).unwrap().step, "A2");
+        assert!(t.recv_frame(Role::Responder, 100).is_none());
         assert_eq!(t.next_delivery(Role::Responder), None);
     }
 
@@ -293,8 +217,8 @@ mod tests {
     #[test]
     fn zero_latency_delivers_at_send_time() {
         let mut t = ChannelTransport::new(0);
-        let at = t.send_frame(Role::Responder, msg("B2", 1), 77).unwrap();
+        let at = t.send_frame(Role::Responder, msg("B2", 1), 77);
         assert_eq!(at, 77);
-        assert!(take(&mut t, Role::Initiator, 77).is_some());
+        assert!(t.recv_frame(Role::Initiator, 77).is_some());
     }
 }

@@ -10,9 +10,7 @@
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
-use ecq_proto::{
-    ChannelTransport, Credentials, Endpoint, Message, Role, SessionKey, StepOutput, Transport,
-};
+use ecq_proto::{ChannelTransport, Credentials, Endpoint, Message, Role, SessionKey, StepOutput};
 use ecq_service::{ServiceAddr, ServiceClient, ServiceConfig, ServiceDaemon};
 use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
 use proptest::prelude::*;
@@ -66,24 +64,21 @@ fn channel_transcript(setup: &Setup, config: StsConfig) -> (SessionKey, Vec<Mess
         other => panic!("initiator must open with a send, got {other:?}"),
     };
     messages.push(opening.clone());
-    link.send_frame(Role::Initiator, opening, 0).unwrap();
+    link.send_frame(Role::Initiator, opening, 0);
 
     let mut receiver = Role::Responder;
     for _ in 0..16 {
         if alice.is_established() && bob.is_established() {
             break;
         }
-        let message = link
-            .recv_frame(receiver, 0, 0)
-            .unwrap()
-            .expect("message due");
+        let message = link.recv_frame(receiver, 0).expect("message due");
         let endpoint: &mut dyn Endpoint = match receiver {
             Role::Initiator => &mut alice,
             Role::Responder => &mut bob,
         };
         if let StepOutput::Send(reply) = endpoint.step(Some(&message)).unwrap() {
             messages.push(reply.clone());
-            link.send_frame(receiver, reply, 0).unwrap();
+            link.send_frame(receiver, reply, 0);
         }
         receiver = receiver.peer();
     }

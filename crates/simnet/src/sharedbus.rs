@@ -123,8 +123,9 @@ impl std::ops::AddAssign for FaultCounters {
     }
 }
 
-/// Per-slot traffic totals (the [`Transport`](ecq_proto::transport::Transport)
-/// counters of a private link, kept per session here).
+/// Per-slot traffic totals (the counters of a private
+/// [`ChannelTransport`](ecq_proto::transport::ChannelTransport), kept
+/// per session here, plus the CAN-FD frames a channel never moves).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlotStats {
     /// Typed messages submitted by the session's endpoints.

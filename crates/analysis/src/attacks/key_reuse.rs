@@ -6,9 +6,8 @@
 //! every session under fixed certificates.
 
 use super::TestDeployment;
-use ecq_baselines::{establish_s_ecdsa, establish_scianc, skd};
-use ecq_proto::ProtocolError;
-use ecq_sts::{establish, StsConfig};
+use ecq_baselines::{establish, skd};
+use ecq_proto::{ProtocolError, ProtocolKind};
 
 /// Result of running `n` sessions under unchanged certificates.
 #[derive(Debug)]
@@ -31,21 +30,7 @@ pub fn s_ecdsa_reuse(
     deployment: &mut TestDeployment,
     n: usize,
 ) -> Result<ReuseReport, ProtocolError> {
-    let mut keys = Vec::new();
-    for _ in 0..n {
-        let out = establish_s_ecdsa(
-            &deployment.alice,
-            &deployment.bob,
-            0,
-            false,
-            &mut deployment.rng,
-        )?;
-        keys.push(*out.initiator_key.as_bytes());
-    }
-    // The premaster is recomputable without any session state:
-    let premaster = skd::static_premaster(&deployment.alice, &deployment.bob.cert)?;
-    let premasters = vec![*premaster; n]; // identical every session
-    Ok(report(keys, premasters))
+    static_kd_reuse(ProtocolKind::SEcdsa, deployment, n)
 }
 
 /// Runs `n` SCIANC sessions (same structural weakness).
@@ -57,13 +42,7 @@ pub fn scianc_reuse(
     deployment: &mut TestDeployment,
     n: usize,
 ) -> Result<ReuseReport, ProtocolError> {
-    let mut keys = Vec::new();
-    for _ in 0..n {
-        let out = establish_scianc(&deployment.alice, &deployment.bob, 0, &mut deployment.rng)?;
-        keys.push(*out.initiator_key.as_bytes());
-    }
-    let premaster = skd::static_premaster(&deployment.alice, &deployment.bob.cert)?;
-    Ok(report(keys, vec![*premaster; n]))
+    static_kd_reuse(ProtocolKind::Scianc, deployment, n)
 }
 
 /// Runs `n` STS sessions: both the keys *and* the underlying
@@ -73,22 +52,38 @@ pub fn scianc_reuse(
 ///
 /// Propagates handshake errors.
 pub fn sts_reuse(deployment: &mut TestDeployment, n: usize) -> Result<ReuseReport, ProtocolError> {
-    let mut keys = Vec::new();
-    let mut premasters = Vec::new();
-    for _ in 0..n {
-        let out = establish(
-            &deployment.alice,
-            &deployment.bob,
-            &StsConfig::default(),
-            &mut deployment.rng,
-        )?;
-        keys.push(*out.initiator_key.as_bytes());
-        // The session key is the only artifact; each is derived from a
-        // distinct ephemeral premaster (witnessed by key distinctness —
-        // HKDF with identical premaster+salt would collide).
-        premasters.push(*out.initiator_key.as_bytes());
-    }
-    Ok(report(keys, premasters))
+    let keys = session_keys(ProtocolKind::Sts, deployment, n)?;
+    // The session key is the only artifact; each is derived from a
+    // distinct ephemeral premaster (witnessed by key distinctness —
+    // HKDF with identical premaster+salt would collide).
+    Ok(report(keys.clone(), keys))
+}
+
+/// A static-KD protocol's sessions: the premaster is recomputable
+/// without any session state, and identical every session.
+fn static_kd_reuse(
+    kind: ProtocolKind,
+    deployment: &mut TestDeployment,
+    n: usize,
+) -> Result<ReuseReport, ProtocolError> {
+    let keys = session_keys(kind, deployment, n)?;
+    let premaster = skd::static_premaster(&deployment.alice, &deployment.bob.cert)?;
+    Ok(report(keys, vec![*premaster; n]))
+}
+
+/// The initiator keys of `n` handshakes under unchanged certificates.
+fn session_keys(
+    kind: ProtocolKind,
+    d: &mut TestDeployment,
+    n: usize,
+) -> Result<Vec<[u8; 32]>, ProtocolError> {
+    (0..n)
+        .map(|_| {
+            Ok(*establish(kind, &d.alice, &d.bob, 0, &mut d.rng)?
+                .initiator_key
+                .as_bytes())
+        })
+        .collect()
 }
 
 fn report(keys: Vec<[u8; 32]>, premasters: Vec<[u8; 32]>) -> ReuseReport {

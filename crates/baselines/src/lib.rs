@@ -25,18 +25,66 @@ pub mod scianc;
 pub mod skd;
 
 use ecq_crypto::HmacDrbg;
-use ecq_proto::{run_handshake, Credentials, ProtocolError, SessionKey, Transcript};
+use ecq_proto::{run_handshake, Credentials, Endpoint, ProtocolError, ProtocolKind};
+use ecq_sts::{SessionOutcome, StsConfig, StsVariant};
 
-/// Result of a completed baseline handshake (mirrors
-/// `ecq_sts::SessionOutcome`).
-#[derive(Debug)]
-pub struct BaselineOutcome {
-    /// Key derived by the initiator.
-    pub initiator_key: SessionKey,
-    /// Key derived by the responder.
-    pub responder_key: SessionKey,
-    /// Full wire + trace transcript.
-    pub transcript: Transcript,
+/// The initiator and responder of one `kind` handshake — the one place
+/// a [`ProtocolKind`] picks its endpoints.
+///
+/// Each side draws from its own DRBG forked off `rng`, initiator first,
+/// under the protocol's labels (STS forks exactly as
+/// [`ecq_sts::establish`] does); PORAMB first draws the pre-shared
+/// pairwise key its scheme provisions.
+pub fn endpoints(
+    kind: ProtocolKind,
+    initiator: &Credentials,
+    responder: &Credentials,
+    now: u32,
+    rng: &mut HmacDrbg,
+) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
+    let (a, b) = (initiator.clone(), responder.clone());
+    match kind {
+        ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII => {
+            let variant = StsVariant::from_protocol_kind(kind).unwrap_or_default();
+            let (a, b) = ecq_sts::endpoint_pair(a, b, &StsConfig { now, variant }, rng);
+            (Box::new(a), Box::new(b))
+        }
+        ProtocolKind::SEcdsa | ProtocolKind::SEcdsaExt => {
+            let ext = kind == ProtocolKind::SEcdsaExt;
+            let (mut rng_a, mut rng_b) = fork(rng, b"secdsa-a", b"secdsa-b");
+            (
+                Box::new(s_ecdsa::SEcdsaInitiator::new(a, now, ext, &mut rng_a)),
+                Box::new(s_ecdsa::SEcdsaResponder::new(b, now, ext, &mut rng_b)),
+            )
+        }
+        ProtocolKind::Scianc => {
+            let (mut rng_a, mut rng_b) = fork(rng, b"scianc-a", b"scianc-b");
+            (
+                Box::new(scianc::SciancInitiator::new(a, now, &mut rng_a)),
+                Box::new(scianc::SciancResponder::new(b, now, &mut rng_b)),
+            )
+        }
+        ProtocolKind::Poramb => {
+            let pairwise = rng.bytes32();
+            poramb_endpoints(a, b, &pairwise, now, rng)
+        }
+    }
+}
+
+/// Runs a complete `kind` handshake between two credential sets.
+///
+/// # Errors
+///
+/// Any [`ProtocolError`] from the handshake.
+pub fn establish(
+    kind: ProtocolKind,
+    initiator: &Credentials,
+    responder: &Credentials,
+    now: u32,
+    rng: &mut HmacDrbg,
+) -> Result<SessionOutcome, ProtocolError> {
+    let (a, b) = endpoints(kind, initiator, responder, now, rng);
+    complete(a, b)
 }
 
 /// Runs a complete S-ECDSA handshake (set `extended` for the
@@ -51,42 +99,13 @@ pub fn establish_s_ecdsa(
     now: u32,
     extended: bool,
     rng: &mut HmacDrbg,
-) -> Result<BaselineOutcome, ProtocolError> {
-    use ecq_proto::Endpoint as _;
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"secdsa-a");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"secdsa-b");
-    let mut a = s_ecdsa::SEcdsaInitiator::new(initiator.clone(), now, extended, &mut rng_a);
-    let mut b = s_ecdsa::SEcdsaResponder::new(responder.clone(), now, extended, &mut rng_b);
-    let transcript = run_handshake(&mut a, &mut b)?;
-    Ok(BaselineOutcome {
-        initiator_key: a.session_key()?,
-        responder_key: b.session_key()?,
-        transcript,
-    })
-}
-
-/// Runs a complete SCIANC handshake.
-///
-/// # Errors
-///
-/// Any [`ProtocolError`] from the handshake.
-pub fn establish_scianc(
-    initiator: &Credentials,
-    responder: &Credentials,
-    now: u32,
-    rng: &mut HmacDrbg,
-) -> Result<BaselineOutcome, ProtocolError> {
-    use ecq_proto::Endpoint as _;
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"scianc-a");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"scianc-b");
-    let mut a = scianc::SciancInitiator::new(initiator.clone(), now, &mut rng_a);
-    let mut b = scianc::SciancResponder::new(responder.clone(), now, &mut rng_b);
-    let transcript = run_handshake(&mut a, &mut b)?;
-    Ok(BaselineOutcome {
-        initiator_key: a.session_key()?,
-        responder_key: b.session_key()?,
-        transcript,
-    })
+) -> Result<SessionOutcome, ProtocolError> {
+    let kind = if extended {
+        ProtocolKind::SEcdsaExt
+    } else {
+        ProtocolKind::SEcdsa
+    };
+    establish(kind, initiator, responder, now, rng)
 }
 
 /// Runs a complete PORAMB handshake. `pairwise_key` is the pre-shared
@@ -102,14 +121,39 @@ pub fn establish_poramb(
     pairwise_key: &[u8; 32],
     now: u32,
     rng: &mut HmacDrbg,
-) -> Result<BaselineOutcome, ProtocolError> {
-    use ecq_proto::Endpoint as _;
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"poramb-a");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"poramb-b");
-    let mut a = poramb::PorambInitiator::new(initiator.clone(), *pairwise_key, now, &mut rng_a);
-    let mut b = poramb::PorambResponder::new(responder.clone(), *pairwise_key, now, &mut rng_b);
-    let transcript = run_handshake(&mut a, &mut b)?;
-    Ok(BaselineOutcome {
+) -> Result<SessionOutcome, ProtocolError> {
+    let (a, b) = poramb_endpoints(initiator.clone(), responder.clone(), pairwise_key, now, rng);
+    complete(a, b)
+}
+
+fn poramb_endpoints(
+    a: Credentials,
+    b: Credentials,
+    key: &[u8; 32],
+    now: u32,
+    rng: &mut HmacDrbg,
+) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
+    let (mut rng_a, mut rng_b) = fork(rng, b"poramb-a", b"poramb-b");
+    (
+        Box::new(poramb::PorambInitiator::new(a, *key, now, &mut rng_a)),
+        Box::new(poramb::PorambResponder::new(b, *key, now, &mut rng_b)),
+    )
+}
+
+/// One DRBG per side, forked off `rng` initiator first.
+fn fork(rng: &mut HmacDrbg, label_a: &[u8], label_b: &[u8]) -> (HmacDrbg, HmacDrbg) {
+    let rng_a = HmacDrbg::new(&rng.bytes32(), label_a);
+    let rng_b = HmacDrbg::new(&rng.bytes32(), label_b);
+    (rng_a, rng_b)
+}
+
+/// Drives two endpoints to completion and collects both keys.
+fn complete(
+    mut a: Box<dyn Endpoint>,
+    mut b: Box<dyn Endpoint>,
+) -> Result<SessionOutcome, ProtocolError> {
+    let transcript = run_handshake(a.as_mut(), b.as_mut())?;
+    Ok(SessionOutcome {
         initiator_key: a.session_key()?,
         responder_key: b.session_key()?,
         transcript,
@@ -146,7 +190,7 @@ mod tests {
     #[test]
     fn scianc_table2_totals() {
         let (a, b, mut rng) = setup(202);
-        let out = establish_scianc(&a, &b, 0, &mut rng).unwrap();
+        let out = establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap();
         assert_eq!(out.initiator_key, out.responder_key);
         assert_eq!(out.transcript.step_count(), 4);
         assert_eq!(out.transcript.total_bytes(), 362); // Table II

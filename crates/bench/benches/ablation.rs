@@ -1,6 +1,6 @@
-//! Criterion ablations for the design choices of DESIGN.md §7 that are
-//! measurable on the host: scalar-multiplication recoding and point
-//! (de)compression cost.
+//! Criterion ablations for the design choices of the `ablation` binary
+//! that are measurable on the host: scalar-multiplication recoding and
+//! point (de)compression cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecq_crypto::HmacDrbg;

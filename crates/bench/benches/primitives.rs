@@ -2,7 +2,7 @@
 //! protocols consume. These absolute numbers differ from the paper's
 //! embedded boards by construction; the *ratios* between primitives
 //! are the meaningful comparison (they drive the device cost model's
-//! decomposition in DESIGN.md §5).
+//! decomposition in `ecq_devices::profile::costs_from_op_times`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecq_cert::{ca::CertificateAuthority, requester::CertRequester, DeviceId};

@@ -4,7 +4,8 @@
 //! embedded boards because the EC operation counts dominate on both.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ecq_bench::{deployment, run_protocol};
+use ecq_baselines::establish;
+use ecq_bench::deployment;
 use ecq_proto::ProtocolKind;
 use std::hint::black_box;
 
@@ -15,8 +16,8 @@ fn bench_handshakes(c: &mut Criterion) {
         let (alice, bob, mut rng) = deployment(kind as u64 + 100);
         g.bench_with_input(BenchmarkId::from_parameter(kind.label()), &kind, |b, k| {
             b.iter(|| {
-                let (t, key) = run_protocol(*k, &alice, &bob, &mut rng).expect("handshake");
-                black_box((t.total_bytes(), key));
+                let out = establish(*k, &alice, &bob, 0, &mut rng).expect("handshake");
+                black_box((out.transcript.total_bytes(), out.initiator_key));
             })
         });
     }

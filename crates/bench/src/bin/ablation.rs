@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md §7 calls out:
+//! Ablations of the reproduction's design choices:
 //!
 //! 1. scalar-multiplication recoding (width-5 wNAF vs double-and-add);
 //! 2. certificate point encoding (compressed vs uncompressed) and its
@@ -6,13 +6,14 @@
 //! 3. ISO-TP flow-control parameters vs handshake wall time;
 //! 4. Opt. I/II pipelining on heterogeneous device pairs (eq. (6)).
 
-use ecq_bench::{deployment, run_protocol};
+use ecq_baselines::establish;
+use ecq_bench::deployment;
 use ecq_crypto::HmacDrbg;
-use ecq_devices::timing::{integrate, pair_total, pipelined_phases};
+use ecq_devices::timing::protocol_pair_time;
 use ecq_devices::DevicePreset;
 use ecq_p256::point::{AffinePoint, JacobianPoint};
 use ecq_p256::scalar::Scalar;
-use ecq_proto::{ProtocolKind, Role};
+use ecq_proto::ProtocolKind;
 use ecq_simnet::canfd::BitTiming;
 use ecq_simnet::isotp::{transfer_time_ns, IsoTpConfig};
 use std::time::Instant;
@@ -67,7 +68,9 @@ fn main() {
         (ProtocolKind::Poramb, 2),
     ] {
         let (alice, bob, mut r) = deployment(77);
-        let (t, _) = run_protocol(kind, &alice, &bob, &mut r).expect("handshake");
+        let t = establish(kind, &alice, &bob, 0, &mut r)
+            .expect("handshake")
+            .transcript;
         let compressed = t.total_bytes();
         let uncompressed = compressed + 32 * certs_on_wire;
         println!(
@@ -96,7 +99,9 @@ fn main() {
 
     println!("\nAblation 4 — Opt. II pipelining across heterogeneous pairs (eq. (6))");
     let (alice, bob, mut r) = deployment(78);
-    let (transcript, _) = run_protocol(ProtocolKind::Sts, &alice, &bob, &mut r).expect("handshake");
+    let transcript = establish(ProtocolKind::Sts, &alice, &bob, 0, &mut r)
+        .expect("handshake")
+        .transcript;
     let pairs = [
         (DevicePreset::Stm32F767, DevicePreset::Stm32F767),
         (DevicePreset::Stm32F767, DevicePreset::S32K144),
@@ -104,10 +109,8 @@ fn main() {
         (DevicePreset::ATmega2560, DevicePreset::RaspberryPi4),
     ];
     for (da, db) in pairs {
-        let ta = integrate(transcript.trace(Role::Initiator), &da.profile());
-        let tb = integrate(transcript.trace(Role::Responder), &db.profile());
-        let conventional = pair_total(&ta, &tb, &[]);
-        let opt2 = pair_total(&ta, &tb, pipelined_phases(ProtocolKind::StsOptII));
+        let [conventional, opt2] = [ProtocolKind::Sts, ProtocolKind::StsOptII]
+            .map(|k| protocol_pair_time(k, &transcript, &da.profile(), &db.profile()));
         println!(
             "  {:<12} × {:<12}: {:>10.2} ms → {:>10.2} ms (saves {:>5.1} %)",
             da.profile().name,

@@ -1,18 +1,16 @@
 //! The BMS ↔ EVCC session scenario (paper §V-C, Fig. 7).
 
 use crate::timeline::{EventKind, Timeline};
-use ecq_baselines::{poramb, s_ecdsa, scianc};
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
-use ecq_devices::timing::{integrate, pipelined_phases};
-use ecq_devices::{DevicePreset, DeviceProfile, PhaseTimes};
-use ecq_proto::{Credentials, Endpoint, Message, ProtocolError, ProtocolKind, SessionKey};
+use ecq_devices::timing::{cost_since, integrate, pair_total, pipelined_phases};
+use ecq_devices::{DevicePreset, DeviceProfile};
+use ecq_proto::{Credentials, Message, ProtocolError, ProtocolKind, SessionKey};
 use ecq_simnet::app::AppMessage;
 use ecq_simnet::canfd::BitTiming;
 use ecq_simnet::isotp::{transfer_time_ns, IsoTpConfig};
 use ecq_simnet::ns_to_ms;
-use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
 
 /// Report of one simulated session establishment.
 #[derive(Debug)]
@@ -77,61 +75,6 @@ impl BmsScenario {
         Ok((bms, evcc))
     }
 
-    fn build_endpoints(
-        &self,
-        kind: ProtocolKind,
-        bms: Credentials,
-        evcc: Credentials,
-        rng: &mut HmacDrbg,
-    ) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
-        let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"bms-endpoint");
-        let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"evcc-endpoint");
-        match kind {
-            ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII => {
-                let variant = match kind {
-                    ProtocolKind::StsOptI => StsVariant::OptimizationI,
-                    ProtocolKind::StsOptII => StsVariant::OptimizationII,
-                    _ => StsVariant::Conventional,
-                };
-                let config = StsConfig {
-                    now: self.now,
-                    variant,
-                };
-                (
-                    Box::new(StsInitiator::new(bms, config, &mut rng_a)),
-                    Box::new(StsResponder::new(evcc, config, &mut rng_b)),
-                )
-            }
-            ProtocolKind::SEcdsa | ProtocolKind::SEcdsaExt => {
-                let ext = kind == ProtocolKind::SEcdsaExt;
-                (
-                    Box::new(s_ecdsa::SEcdsaInitiator::new(
-                        bms, self.now, ext, &mut rng_a,
-                    )),
-                    Box::new(s_ecdsa::SEcdsaResponder::new(
-                        evcc, self.now, ext, &mut rng_b,
-                    )),
-                )
-            }
-            ProtocolKind::Scianc => (
-                Box::new(scianc::SciancInitiator::new(bms, self.now, &mut rng_a)),
-                Box::new(scianc::SciancResponder::new(evcc, self.now, &mut rng_b)),
-            ),
-            ProtocolKind::Poramb => {
-                // The pre-shared pairwise key comes from provisioning.
-                let pairwise = rng.bytes32();
-                (
-                    Box::new(poramb::PorambInitiator::new(
-                        bms, pairwise, self.now, &mut rng_a,
-                    )),
-                    Box::new(poramb::PorambResponder::new(
-                        evcc, pairwise, self.now, &mut rng_b,
-                    )),
-                )
-            }
-        }
-    }
-
     /// Runs a full session establishment and returns the Fig. 7-style
     /// report.
     ///
@@ -141,50 +84,29 @@ impl BmsScenario {
     pub fn run_handshake(&self, kind: ProtocolKind) -> Result<SessionReport, ProtocolError> {
         let (bms_creds, evcc_creds) = self.provision().map_err(ProtocolError::Cert)?;
         let mut rng = HmacDrbg::from_seed(self.seed ^ 0xB145_0000);
-        let (mut bms, mut evcc) = self.build_endpoints(kind, bms_creds, evcc_creds, &mut rng);
+        let (mut bms, mut evcc) =
+            ecq_baselines::endpoints(kind, &bms_creds, &evcc_creds, self.now, &mut rng);
 
         let mut timeline = Timeline::new();
         let mut handshake_bytes = 0usize;
-        let mut traced_a = 0usize; // entries already charged, per side
-        let mut traced_b = 0usize;
+        let mut cursors = [0usize; 2]; // trace entries already charged, BMS/EVCC
         let session_id = 0x0001;
 
-        let charge = |timeline: &mut Timeline,
-                      endpoint: &dyn Endpoint,
-                      traced: &mut usize,
-                      actor: &str,
-                      label: &str| {
-            let entries = endpoint.trace().entries();
-            let delta = &entries[*traced..];
-            *traced = entries.len();
-            let mut slice = ecq_proto::OpTrace::new();
-            for e in delta {
-                slice.record(e.phase, e.op);
-            }
-            let times = integrate(&slice, &self.ecu_device);
-            if times.total() > 0.0 {
-                timeline.push(actor, label, times.total(), EventKind::Compute);
-            }
-            times
-        };
-
-        let mut phases_a = PhaseTimes::default();
-        let mut phases_b = PhaseTimes::default();
-
         let mut pending: Option<Message> = bms.start()?;
-        phases_a = add_phases(
-            phases_a,
-            charge(
-                &mut timeline,
-                bms.as_ref(),
-                &mut traced_a,
-                "BMS",
-                &step_label(kind, "A1", true),
-            ),
-        );
+        let mut at_bms = true; // which endpoint just stepped
+        let mut label = step_label(kind, "A1", true);
+        loop {
+            let (endpoint, cursor, actor) = if at_bms {
+                (&bms, &mut cursors[0], "BMS")
+            } else {
+                (&evcc, &mut cursors[1], "EVCC")
+            };
+            let ms = cost_since(endpoint.trace(), cursor, &self.ecu_device);
+            if ms > 0.0 {
+                timeline.push(actor, &label, ms, EventKind::Compute);
+            }
+            let Some(msg) = pending.take() else { break };
 
-        let mut sender_is_bms = true;
-        while let Some(msg) = pending.take() {
             // Bus transfer through the Fig. 6 stack.
             let app = AppMessage::handshake(session_id, msg.encode());
             handshake_bytes += msg.wire_len();
@@ -197,44 +119,27 @@ impl BmsScenario {
             );
 
             // Receiver processes.
-            let (receiver, traced, actor): (&mut Box<dyn Endpoint>, &mut usize, &str) =
-                if sender_is_bms {
-                    (&mut evcc, &mut traced_b, "EVCC")
-                } else {
-                    (&mut bms, &mut traced_a, "BMS")
-                };
-            let step = msg.step;
-            let reply = receiver.on_message(&msg)?;
-            let delta = charge(
-                &mut timeline,
-                receiver.as_ref(),
-                traced,
-                actor,
-                &step_label(kind, step, false),
-            );
-            if sender_is_bms {
-                phases_b = add_phases(phases_b, delta);
-            } else {
-                phases_a = add_phases(phases_a, delta);
-            }
-            pending = reply;
-            sender_is_bms = !sender_is_bms;
+            at_bms = !at_bms;
+            let receiver = if at_bms { &mut bms } else { &mut evcc };
+            pending = receiver.on_message(&msg)?;
+            label = step_label(kind, msg.step, false);
         }
 
         if !bms.is_established() || !evcc.is_established() {
             return Err(ProtocolError::Stalled);
         }
 
-        // Pipelining saving per eqs. (6)–(8).
-        let mut total_ms = timeline.total_ms();
-        for phase in pipelined_phases(kind) {
-            total_ms -= phases_a.phase(*phase).min(phases_b.phase(*phase));
-        }
+        // Compute honours the pipelining schedule of eqs. (5)–(8); the
+        // bus transfers stay sequential.
+        let bus_ms = timeline.transfer_ms();
+        let a = integrate(bms.trace(), &self.ecu_device);
+        let b = integrate(evcc.trace(), &self.ecu_device);
+        let total_ms = pair_total(&a, &b, pipelined_phases(kind)) + bus_ms;
 
         Ok(SessionReport {
             kind,
             total_ms,
-            bus_ms: timeline.transfer_ms(),
+            bus_ms,
             handshake_bytes,
             timeline,
             bms_key: bms.session_key()?,
@@ -243,22 +148,9 @@ impl BmsScenario {
     }
 }
 
-fn add_phases(mut acc: PhaseTimes, delta: PhaseTimes) -> PhaseTimes {
-    acc.op1 += delta.op1;
-    acc.op2 += delta.op2;
-    acc.op3 += delta.op3;
-    acc.op4 += delta.op4;
-    acc.other += delta.other;
-    acc
-}
-
 /// Fig. 7-style labels for the processing that follows each step.
 fn step_label(kind: ProtocolKind, step: &str, is_sender_setup: bool) -> String {
-    let sts = matches!(
-        kind,
-        ProtocolKind::Sts | ProtocolKind::StsOptI | ProtocolKind::StsOptII
-    );
-    match (sts, step, is_sender_setup) {
+    match (kind.is_dynamic(), step, is_sender_setup) {
         (true, "A1", true) => "Request gen. (XG gen.)".into(),
         (true, "A1", false) => "XG gen. & Sign. gen. (Derive Key)".into(),
         (true, "B1", false) => "Calc. Keys & Verify, Create and Enc. Sign.".into(),
@@ -335,6 +227,30 @@ mod tests {
         assert!(opt2.total_ms < sts.total_ms);
         // The sequential view is unchanged; only the schedule differs.
         assert!(opt2.timeline.total_ms() > opt2.total_ms);
+    }
+
+    #[test]
+    fn compute_time_is_the_table1_pair_time() {
+        // Fig. 7 and Table I share one cost model: the report's
+        // compute time is eqs. (5)–(8) over the same protocol's traces.
+        let mut scenario = BmsScenario::new(12);
+        let (bms, evcc) = scenario.provision().unwrap();
+        for preset in DevicePreset::ALL {
+            scenario.ecu_device = preset.profile();
+            for kind in ProtocolKind::ALL {
+                let report = scenario.run_handshake(kind).unwrap();
+                let mut rng = HmacDrbg::from_seed(13);
+                let out =
+                    ecq_baselines::establish(kind, &bms, &evcc, scenario.now, &mut rng).unwrap();
+                let d = &scenario.ecu_device;
+                let table1 = ecq_devices::timing::protocol_pair_time(kind, &out.transcript, d, d);
+                let compute = report.total_ms - report.bus_ms;
+                assert!(
+                    (compute - table1).abs() <= 1e-9 * table1,
+                    "{preset:?}/{kind}: {compute} vs {table1}"
+                );
+            }
+        }
     }
 
     #[test]

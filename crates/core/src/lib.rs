@@ -105,6 +105,23 @@ pub struct SessionOutcome {
     pub transcript: Transcript,
 }
 
+/// The two endpoints of one STS handshake, each on its own DRBG forked
+/// off `rng` (initiator first) — the derivation [`establish`] and every
+/// simulator that wants its transcripts share.
+pub fn endpoint_pair(
+    initiator: Credentials,
+    responder: Credentials,
+    config: &StsConfig,
+    rng: &mut HmacDrbg,
+) -> (StsInitiator, StsResponder) {
+    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"sts-initiator");
+    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"sts-responder");
+    (
+        StsInitiator::new(initiator, *config, &mut rng_a),
+        StsResponder::new(responder, *config, &mut rng_b),
+    )
+}
+
 /// Convenience driver: runs a complete STS handshake between two
 /// credential sets and returns both keys plus the transcript.
 ///
@@ -140,13 +157,10 @@ pub fn establish_hinted(
     initiator_hint: Option<&ReconstructionHint>,
     responder_hint: Option<&ReconstructionHint>,
 ) -> Result<SessionOutcome, ProtocolError> {
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"sts-initiator");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"sts-responder");
-    let mut alice = StsInitiator::new(initiator.clone(), *config, &mut rng_a);
+    let (mut alice, mut bob) = endpoint_pair(initiator.clone(), responder.clone(), config, rng);
     if let Some(hint) = initiator_hint {
         alice = alice.with_peer_hint(*hint);
     }
-    let mut bob = StsResponder::new(responder.clone(), *config, &mut rng_b);
     if let Some(hint) = responder_hint {
         bob = bob.with_peer_hint(*hint);
     }

@@ -19,10 +19,11 @@
 //!
 //! For heterogeneous device pairs the paper's eq. (6) applies: the
 //! pipelined operation costs `|T_OpAx − T_OpBx|` extra rather than
-//! vanishing. The schedule arithmetic lives in `ecq-devices::timing`;
-//! this type only names which operations overlap.
+//! vanishing. The schedule arithmetic and the variant → pipelined-phase
+//! table live in `ecq_devices::timing`, keyed by
+//! [`StsVariant::protocol_kind`].
 
-use ecq_proto::StsPhase;
+use ecq_proto::ProtocolKind;
 
 /// STS execution-schedule variants (Table I rows STS / opt. I / opt. II).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -37,24 +38,30 @@ pub enum StsVariant {
 }
 
 impl StsVariant {
-    /// The STS operations this variant overlaps across the device pair.
-    /// For identical devices each overlapped phase is paid once instead
-    /// of twice; for different devices eq. (6) applies.
-    pub fn pipelined_phases(&self) -> &'static [StsPhase] {
+    /// All variants in Table I row order.
+    pub const ALL: [StsVariant; 3] = [
+        StsVariant::Conventional,
+        StsVariant::OptimizationI,
+        StsVariant::OptimizationII,
+    ];
+
+    /// The Table I row this variant runs as.
+    pub fn protocol_kind(&self) -> ProtocolKind {
         match self {
-            StsVariant::Conventional => &[],
-            StsVariant::OptimizationI => &[StsPhase::Op2KeyDerivation],
-            StsVariant::OptimizationII => &[StsPhase::Op2KeyDerivation, StsPhase::Op3SignEncrypt],
+            StsVariant::Conventional => ProtocolKind::Sts,
+            StsVariant::OptimizationI => ProtocolKind::StsOptI,
+            StsVariant::OptimizationII => ProtocolKind::StsOptII,
         }
+    }
+
+    /// The variant a Table I row runs, or `None` for the baselines.
+    pub fn from_protocol_kind(kind: ProtocolKind) -> Option<Self> {
+        Self::ALL.into_iter().find(|v| v.protocol_kind() == kind)
     }
 
     /// The paper's label for this variant.
     pub fn label(&self) -> &'static str {
-        match self {
-            StsVariant::Conventional => "STS",
-            StsVariant::OptimizationI => "STS (opt. I)",
-            StsVariant::OptimizationII => "STS (opt. II)",
-        }
+        self.protocol_kind().label()
     }
 
     /// The flexibility cost the paper calls out: with pipelining,
@@ -84,12 +91,26 @@ mod tests {
 
     #[test]
     fn pipelining_sets() {
-        assert!(StsVariant::Conventional.pipelined_phases().is_empty());
+        use ecq_devices::timing::pipelined_phases;
+        use ecq_proto::StsPhase;
+        assert!(pipelined_phases(StsVariant::Conventional.protocol_kind()).is_empty());
         assert_eq!(
-            StsVariant::OptimizationI.pipelined_phases(),
+            pipelined_phases(StsVariant::OptimizationI.protocol_kind()),
             &[StsPhase::Op2KeyDerivation]
         );
-        assert_eq!(StsVariant::OptimizationII.pipelined_phases().len(), 2);
+        assert_eq!(
+            pipelined_phases(StsVariant::OptimizationII.protocol_kind()),
+            &[StsPhase::Op2KeyDerivation, StsPhase::Op3SignEncrypt]
+        );
+    }
+
+    #[test]
+    fn protocol_kind_round_trip() {
+        // Every STS row maps to a variant and back; baselines map to none.
+        for kind in ProtocolKind::ALL {
+            let back = StsVariant::from_protocol_kind(kind).map(|v| v.protocol_kind());
+            assert_eq!(back, kind.is_dynamic().then_some(kind), "{kind}");
+        }
     }
 
     #[test]

@@ -15,20 +15,14 @@ use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
 use ecq_proto::transport::ChannelTransport;
 use ecq_proto::{run_handshake, Credentials, Endpoint, Role, SessionKey, StepOutput};
-use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
+use ecq_sts::{endpoint_pair, StsConfig, StsInitiator, StsResponder, StsVariant};
 
 fn endpoints(seed: u64, variant: StsVariant) -> (StsInitiator, StsResponder) {
     let mut rng = HmacDrbg::from_seed(seed);
     let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
     let a = Credentials::provision(&ca, DeviceId::from_label("alice"), 0, 1000, &mut rng).unwrap();
     let b = Credentials::provision(&ca, DeviceId::from_label("bob"), 0, 1000, &mut rng).unwrap();
-    let config = StsConfig { now: 0, variant };
-    let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"sts-initiator");
-    let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"sts-responder");
-    (
-        StsInitiator::new(a, config, &mut rng_a),
-        StsResponder::new(b, config, &mut rng_b),
-    )
+    endpoint_pair(a, b, &StsConfig { now: 0, variant }, &mut rng)
 }
 
 /// The pre-transport driver, verbatim: alternate `start`/`on_message`
@@ -92,11 +86,7 @@ fn drive_transport(
 
 #[test]
 fn step_transcripts_match_run_to_completion_bytes() {
-    for variant in [
-        StsVariant::Conventional,
-        StsVariant::OptimizationI,
-        StsVariant::OptimizationII,
-    ] {
+    for variant in StsVariant::ALL {
         for seed in [1u64, 2, 99, 0xFEED] {
             let (mut a1, mut b1) = endpoints(seed, variant);
             let (old_wire, old_key) = drive_callbacks(&mut a1, &mut b1);

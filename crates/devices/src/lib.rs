@@ -5,7 +5,7 @@
 //! [`ecq_proto::OpTrace`]; this crate integrates those traces against
 //! per-board primitive cost tables.
 //!
-//! # Calibration (see DESIGN.md §5)
+//! # Calibration ([`profile::costs_from_op_times`], [`presets`])
 //!
 //! The paper's Table I plus its optimization formulas (eqs. (5)–(8))
 //! over-determine the per-side operation times, so the cost tables are
@@ -19,7 +19,9 @@
 //! With those anchors the S-ECDSA and STS-family rows reproduce the
 //! paper's Table I essentially exactly; SCIANC and PORAMB (whose costs
 //! follow from their own operation counts) land within ~2–10 % with
-//! ordering and ratios preserved. EXPERIMENTS.md records the deltas.
+//! ordering and ratios preserved. The `table1` binary prints every
+//! cell's deviation, and `ecq_bench`'s golden artifact test pins that
+//! output. [`timing`] is the only place a trace becomes time.
 //!
 //! # Example
 //!

@@ -1,4 +1,10 @@
 //! Trace integration and the eqs. (5)–(8) schedule arithmetic.
+//!
+//! This is the one place primitive operations become virtual time:
+//! Table I's per-phase integration ([`integrate`], [`pair_total`]),
+//! the per-step charges of the message-level simulators
+//! ([`cost_since`]), and the enrollment closed forms
+//! ([`ca_issue_ms`], [`device_enrollment_ms`]).
 
 use crate::profile::DeviceProfile;
 use ecq_proto::{OpTrace, ProtocolKind, StsPhase, Transcript};
@@ -52,6 +58,34 @@ pub fn integrate(trace: &OpTrace, device: &DeviceProfile) -> PhaseTimes {
     out
 }
 
+/// Integrates the primitives an endpoint recorded since `cursor` — the
+/// cost of one protocol step — and advances `cursor` past them.
+pub fn cost_since(trace: &OpTrace, cursor: &mut usize, device: &DeviceProfile) -> f64 {
+    let entries = trace.entries();
+    let cost = entries[*cursor..]
+        .iter()
+        .map(|e| device.cost_of(&e.op))
+        .sum();
+    *cursor = entries.len();
+    cost
+}
+
+/// Virtual CA-side cost (ms) of issuing one certificate on the
+/// gateway: the `k·G` blinding (keygen), the serial draw, and the
+/// two-block certificate hash.
+pub fn ca_issue_ms(gateway: &DeviceProfile) -> f64 {
+    let c = &gateway.costs;
+    c.keygen_ms + c.rng32_ms + 2.0 * c.hash_block_ms
+}
+
+/// Virtual device-side enrollment cost (ms): request keygen, eq. (1)
+/// reconstruction and the `d_U·G` possession check on the device's
+/// board.
+pub fn device_enrollment_ms(device: &DeviceProfile) -> f64 {
+    let c = &device.costs;
+    2.0 * c.keygen_ms + c.recon_ms
+}
+
 /// Total protocol time for a device pair per eqs. (5)–(8).
 ///
 /// * Conventional (eq. (5)): `τ = Σ_A T_Op + Σ_B T_Op` — strictly
@@ -70,7 +104,9 @@ pub fn pair_total(times_a: &PhaseTimes, times_b: &PhaseTimes, pipelined: &[StsPh
     total
 }
 
-/// The phases a protocol variant pipelines (Table I rows).
+/// The phases a protocol variant pipelines (Table I rows) — the one
+/// variant → schedule table; `ecq_sts::StsVariant::protocol_kind`
+/// keys into it.
 pub fn pipelined_phases(kind: ProtocolKind) -> &'static [StsPhase] {
     match kind {
         ProtocolKind::StsOptI => &[StsPhase::Op2KeyDerivation],
@@ -190,6 +226,45 @@ mod tests {
         // Fitted absolute values.
         assert!((ops[0] - 320.15).abs() < 1e-6);
         assert!((ops[2] - 598.77).abs() < 1e-6);
+    }
+
+    #[test]
+    fn step_charges_sum_to_the_integrated_total() {
+        use ecq_cert::{ca::CertificateAuthority, DeviceId};
+        use ecq_crypto::HmacDrbg;
+        use ecq_proto::{Credentials, Role, StepOutput};
+
+        let mut rng = HmacDrbg::from_seed(0xC057);
+        let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
+        let a = Credentials::provision(&ca, DeviceId::from_label("a"), 0, 100, &mut rng).unwrap();
+        let b = Credentials::provision(&ca, DeviceId::from_label("b"), 0, 100, &mut rng).unwrap();
+        let device = DevicePreset::S32K144.profile();
+        for kind in ProtocolKind::ALL {
+            let (mut ini, mut res) = ecq_baselines::endpoints(kind, &a, &b, 0, &mut rng);
+            let mut cursors = [0usize; 2];
+            let mut charged = [0.0f64; 2];
+            let mut incoming = None;
+            let mut role = Role::Initiator;
+            loop {
+                let (endpoint, side) = match role {
+                    Role::Initiator => (&mut ini, 0),
+                    Role::Responder => (&mut res, 1),
+                };
+                let out = endpoint.step(incoming.as_ref()).unwrap();
+                charged[side] += cost_since(endpoint.trace(), &mut cursors[side], &device);
+                match out {
+                    StepOutput::Send(msg) => incoming = Some(msg),
+                    StepOutput::Wait | StepOutput::Established => break,
+                }
+                role = role.peer();
+            }
+            assert!(ini.is_established() && res.is_established(), "{kind}");
+            for (side, endpoint) in [ini, res].iter().enumerate() {
+                let whole = integrate(endpoint.trace(), &device).total();
+                assert!((charged[side] - whole).abs() < 1e-9, "{kind} side {side}");
+                assert_eq!(cursors[side], endpoint.trace().entries().len());
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use ecq_cert::requester::CertRequester;
 use ecq_cert::{CertError, RevocationList};
 use ecq_crypto::sha256::Sha256;
 use ecq_crypto::HmacDrbg;
-use ecq_devices::{DevicePreset, DeviceProfile};
+use ecq_devices::{timing, DevicePreset, DeviceProfile};
 use ecq_proto::{Credentials, ProtocolError, SessionKey};
 use ecq_simnet::{FaultCounters, FrameRecord};
 use ecq_sts::{RekeyPolicy, StsVariant};
@@ -751,11 +751,7 @@ impl<'a> Enroller<'a> {
         shard_rngs: &'a mut [HmacDrbg],
         gateway: &DeviceProfile,
     ) -> Self {
-        // Virtual CA-side cost of issuing one certificate on the
-        // gateway: the `k·G` blinding (keygen), the serial draw, and
-        // the two-block certificate hash.
-        let c = &gateway.costs;
-        let per_cert_us = micros_from_ms(c.keygen_ms + c.rng32_ms + 2.0 * c.hash_block_ms);
+        let per_cert_us = micros_from_ms(timing::ca_issue_ms(gateway));
         let mut worklists: Vec<Vec<usize>> = vec![Vec::new(); pool.shard_count()];
         for d in devices {
             if let Some(list) = worklists.get_mut(d.shard) {
@@ -821,10 +817,8 @@ impl<'a> Enroller<'a> {
         let mut batch = Vec::with_capacity(chunk.len());
         for ((&i, cert), keys) in chunk.iter().zip(&issued).zip(keys) {
             let device = &self.devices[i];
-            // Device side: request keygen, eq. (1) reconstruction and
-            // the `d_U·G` possession check on the device's board.
-            let c = device.preset.profile().costs;
-            let device_done = ca_done + micros_from_ms(2.0 * c.keygen_ms + c.recon_ms);
+            let device_done =
+                ca_done + micros_from_ms(timing::device_enrollment_ms(&device.preset.profile()));
             self.makespan = self.makespan.max(device_done);
             batch.push((
                 i,

@@ -51,12 +51,13 @@ use std::rc::Rc;
 use crate::scheduler::{micros_from_ms, LaneScheduler, VirtualTime};
 use ecq_cert::CertError;
 use ecq_crypto::{ct, HmacDrbg};
+use ecq_devices::timing::cost_since;
 use ecq_devices::{DevicePreset, DeviceProfile};
 use ecq_proto::transport::ChannelTransport;
-use ecq_proto::{Credentials, Endpoint, OpTrace, ProtocolError, Role, SessionKey, StepOutput};
+use ecq_proto::{Credentials, Endpoint, ProtocolError, Role, SessionKey, StepOutput};
 use ecq_simnet::transport::pair_overheads;
 use ecq_simnet::{FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
-use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
+use ecq_sts::{endpoint_pair, StsConfig, StsInitiator, StsResponder, StsVariant};
 
 /// Which link implementation carries the handshake messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -316,17 +317,6 @@ enum Event {
 /// bus arbitrates — the pop order is shard-layout-independent.
 const LANE_BUS: u64 = 1 << 32;
 
-/// Integrates the primitives an endpoint recorded since the last step.
-fn delta_cost_ms(trace: &OpTrace, cursor: &mut usize, profile: &DeviceProfile) -> f64 {
-    let entries = trace.entries();
-    let cost = entries[*cursor..]
-        .iter()
-        .map(|e| profile.cost_of(&e.op))
-        .sum();
-    *cursor = entries.len();
-    cost
-}
-
 impl Live {
     fn endpoint_mut(&mut self, role: Role) -> &mut dyn Endpoint {
         match role {
@@ -345,15 +335,11 @@ impl Live {
         now: VirtualTime,
     ) -> Result<(StepOutput, VirtualTime), ProtocolError> {
         let out = self.endpoint_mut(role).step(incoming)?;
-        let idx = match role {
-            Role::Initiator => 0,
-            Role::Responder => 1,
+        let (trace, idx) = match role {
+            Role::Initiator => (self.initiator.trace(), 0),
+            Role::Responder => (self.responder.trace(), 1),
         };
-        let trace = match role {
-            Role::Initiator => self.initiator.trace(),
-            Role::Responder => self.responder.trace(),
-        };
-        let cost = delta_cost_ms(trace, &mut self.cursors[idx], &self.profiles[idx]);
+        let cost = cost_since(trace, &mut self.cursors[idx], &self.profiles[idx]);
         Ok((out, now + micros_from_ms(cost)))
     }
 
@@ -522,20 +508,19 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
             scheduler.schedule(0, w.index as u64, Event::Kickoff { slot });
             continue;
         }
-        // Mirror `ecq_sts::establish`: one stream per role, initiator
-        // first, derived from the pair's wire seed.
+        // The endpoints `ecq_sts::establish` would build, forked from
+        // the pair's wire seed.
         let mut rng = HmacDrbg::new(&w.wire_seed, b"fleet-pair-wire");
-        let mut rng_a = HmacDrbg::new(&rng.bytes32(), b"sts-initiator");
-        let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"sts-responder");
         let config = StsConfig {
             now: w.now,
             variant: w.variant,
         };
+        let (initiator, responder) = endpoint_pair(w.creds_a, w.creds_b, &config, &mut rng);
         let lane = w.index as u64;
         live.push(Some(Live {
             index: w.index,
-            initiator: StsInitiator::new(w.creds_a, config, &mut rng_a),
-            responder: StsResponder::new(w.creds_b, config, &mut rng_b),
+            initiator,
+            responder,
             link,
             profiles: [w.preset_a.profile(), w.preset_b.profile()],
             cursors: [0, 0],

@@ -11,12 +11,6 @@ use ecq_simnet::FaultSpec;
 use ecq_sts::StsVariant;
 use proptest::prelude::*;
 
-const VARIANTS: [StsVariant; 3] = [
-    StsVariant::Conventional,
-    StsVariant::OptimizationI,
-    StsVariant::OptimizationII,
-];
-
 fn run_faulted(
     devices: usize,
     seed: u64,
@@ -95,7 +89,7 @@ proptest! {
             ..FaultSpec::none()
         };
         let preset = DevicePreset::ALL[preset_ix];
-        let variant = VARIANTS[variant_ix];
+        let variant = StsVariant::ALL[variant_ix];
         let fleet = run_faulted(8, fleet_seed, preset, variant, faults, 1);
         assert_sound(&fleet, &format!("{preset:?}/{variant:?}"));
         // Every loss the engine recorded is visible in the report, and
@@ -158,7 +152,7 @@ fn faulted_shared_bus_report_is_thread_count_invariant() {
 #[ignore = "heavy: release-mode fuzz pass, run via verify.sh scenario"]
 fn fixed_seed_matrix_all_presets_and_variants() {
     for (pi, preset) in DevicePreset::ALL.into_iter().enumerate() {
-        for (vi, variant) in VARIANTS.into_iter().enumerate() {
+        for (vi, variant) in StsVariant::ALL.into_iter().enumerate() {
             for round in 0u64..4 {
                 let faults = FaultSpec {
                     seed: 0xC0FFEE ^ (round << 8) ^ ((pi as u64) << 4) ^ vi as u64,

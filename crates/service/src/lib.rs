@@ -71,11 +71,7 @@ mod tests {
 
     #[test]
     fn variant_codes_roundtrip() {
-        for v in [
-            StsVariant::Conventional,
-            StsVariant::OptimizationI,
-            StsVariant::OptimizationII,
-        ] {
+        for v in StsVariant::ALL {
             assert_eq!(variant_from_code(variant_code(v)), Some(v));
         }
         assert_eq!(variant_from_code(3), None);

@@ -46,11 +46,7 @@ fn enroll_then_handshake_agrees_end_to_end() {
     assert!(creds.keys.is_consistent());
     assert_eq!(creds.cert.subject, DeviceId::from_label("ecu-7"));
 
-    for variant in [
-        StsVariant::Conventional,
-        StsVariant::OptimizationI,
-        StsVariant::OptimizationII,
-    ] {
+    for variant in StsVariant::ALL {
         let seed_a = rng.bytes32();
         let seed_b = rng.bytes32();
         let done = client

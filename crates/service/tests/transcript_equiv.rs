@@ -15,12 +15,6 @@ use ecq_service::{ServiceAddr, ServiceClient, ServiceConfig, ServiceDaemon};
 use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
 use proptest::prelude::*;
 
-const VARIANTS: [StsVariant; 3] = [
-    StsVariant::Conventional,
-    StsVariant::OptimizationI,
-    StsVariant::OptimizationII,
-];
-
 struct Setup {
     ca: CertificateAuthority,
     initiator: Credentials,
@@ -158,6 +152,6 @@ proptest! {
         variant_index in 0usize..3,
         now in 0u32..1000,
     ) {
-        assert_byte_identical(seed, VARIANTS[variant_index], now);
+        assert_byte_identical(seed, StsVariant::ALL[variant_index], now);
     }
 }

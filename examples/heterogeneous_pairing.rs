@@ -6,9 +6,8 @@
 //! cargo run --example heterogeneous_pairing
 //! ```
 
-use dynamic_ecqv::devices::timing::{integrate, pair_total, pipelined_phases};
+use dynamic_ecqv::devices::timing::protocol_pair_time;
 use dynamic_ecqv::prelude::*;
-use dynamic_ecqv::proto::Role;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = HmacDrbg::from_seed(606);
@@ -25,11 +24,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for da in DevicePreset::ALL {
         for db in DevicePreset::ALL {
-            let ta = integrate(transcript.trace(Role::Initiator), &da.profile());
-            let tb = integrate(transcript.trace(Role::Responder), &db.profile());
-            let conv = pair_total(&ta, &tb, &[]);
-            let opt1 = pair_total(&ta, &tb, pipelined_phases(ProtocolKind::StsOptI));
-            let opt2 = pair_total(&ta, &tb, pipelined_phases(ProtocolKind::StsOptII));
+            let [conv, opt1, opt2] = StsVariant::ALL.map(|v| {
+                protocol_pair_time(v.protocol_kind(), &transcript, &da.profile(), &db.profile())
+            });
             println!(
                 "{:<14}{:<14}{:>14.2}{:>14.2}{:>14.2}{:>9.1}%",
                 da.profile().name,

@@ -1,7 +1,7 @@
 //! Cross-crate integration: full session establishment for every
 //! protocol, key agreement, and transcript invariants.
 
-use dynamic_ecqv::baselines::{establish_poramb, establish_s_ecdsa, establish_scianc};
+use dynamic_ecqv::baselines::{self, establish_poramb, establish_s_ecdsa};
 use dynamic_ecqv::prelude::*;
 use dynamic_ecqv::proto::{ProtocolError, Role};
 
@@ -36,7 +36,7 @@ fn all_protocols_agree_on_keys() {
     assert_eq!(o.initiator_key, o.responder_key);
     let o = establish_s_ecdsa(&a, &b, 0, true, &mut rng).unwrap();
     assert_eq!(o.initiator_key, o.responder_key);
-    let o = establish_scianc(&a, &b, 0, &mut rng).unwrap();
+    let o = baselines::establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap();
     assert_eq!(o.initiator_key, o.responder_key);
     let o = establish_poramb(&a, &b, &[9u8; 32], 0, &mut rng).unwrap();
     assert_eq!(o.initiator_key, o.responder_key);
@@ -49,7 +49,7 @@ fn protocols_domain_separate_their_keys() {
     // premaster IS shared — so this is a real cross-protocol check.
     let (a, b, mut rng) = world(3);
     let s_ecdsa = establish_s_ecdsa(&a, &b, 0, false, &mut rng).unwrap();
-    let scianc = establish_scianc(&a, &b, 0, &mut rng).unwrap();
+    let scianc = baselines::establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap();
     assert_ne!(s_ecdsa.initiator_key, scianc.initiator_key);
 }
 
@@ -82,7 +82,7 @@ fn sessions_between_unrelated_cas_always_fail() {
     // because each side reconstructs the peer key under its own CA,
     // yielding different premasters, so the MAC exchange breaks.
     assert_eq!(
-        establish_scianc(&a, &b, 0, &mut rng).unwrap_err(),
+        baselines::establish(ProtocolKind::Scianc, &a, &b, 0, &mut rng).unwrap_err(),
         ProtocolError::AuthenticationFailed
     );
 }
@@ -96,7 +96,7 @@ fn expired_certificates_rejected_everywhere() {
     };
     assert!(establish(&a, &b, &cfg, &mut rng).is_err());
     assert!(establish_s_ecdsa(&a, &b, 99_999, false, &mut rng).is_err());
-    assert!(establish_scianc(&a, &b, 99_999, &mut rng).is_err());
+    assert!(baselines::establish(ProtocolKind::Scianc, &a, &b, 99_999, &mut rng).is_err());
     assert!(establish_poramb(&a, &b, &[1u8; 32], 99_999, &mut rng).is_err());
 }
 

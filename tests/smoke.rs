@@ -20,11 +20,7 @@ fn establish_agrees_on_every_device_preset() {
             Credentials::provision(&ca, DeviceId::from_label("responder"), 0, 3600, &mut rng)
                 .expect("provision responder");
 
-        for variant in [
-            StsVariant::Conventional,
-            StsVariant::OptimizationI,
-            StsVariant::OptimizationII,
-        ] {
+        for variant in StsVariant::ALL {
             let config = StsConfig { now: 0, variant };
             let session = establish(&initiator, &responder, &config, &mut rng)
                 .unwrap_or_else(|e| panic!("establish failed on {preset:?}/{variant:?}: {e:?}"));

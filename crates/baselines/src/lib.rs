@@ -165,6 +165,7 @@ mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
     use ecq_cert::DeviceId;
+    use ecq_proto::StepOutput;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -203,6 +204,44 @@ mod tests {
         assert_eq!(out.initiator_key, out.responder_key);
         assert_eq!(out.transcript.step_count(), 6);
         assert_eq!(out.transcript.total_bytes(), 820); // Table II
+    }
+
+    /// Every endpoint of every protocol fails closed: a responder has
+    /// nothing to open with, an initiator opens once, and a message the
+    /// current state does not expect — mid-handshake or after
+    /// completion — fails the endpoint for good, with no key left.
+    #[test]
+    fn every_protocol_fails_closed() {
+        let (a, b, mut rng) = setup(205);
+        for kind in ProtocolKind::ALL {
+            // Opening rules.
+            let (mut ini, mut res) = endpoints(kind, &a, &b, 0, &mut rng);
+            assert_eq!(res.step(None).unwrap(), StepOutput::Wait, "{kind}");
+            assert!(ini.step(None).unwrap().into_message().is_some(), "{kind}");
+            assert!(ini.step(None).is_err(), "{kind}: initiator opens once");
+
+            // Mid-handshake: the responder answered A1 and now awaits
+            // A2; a second A1 is the wrong step.
+            let (mut ini, mut res) = endpoints(kind, &a, &b, 0, &mut rng);
+            let a1 = ini.step(None).unwrap().into_message().unwrap();
+            res.step(Some(&a1)).unwrap();
+            let mut failed: Vec<Box<dyn Endpoint>> = vec![res];
+
+            // After completion: each established side gets A1 again.
+            let (mut ini, mut res) = endpoints(kind, &a, &b, 0, &mut rng);
+            run_handshake(ini.as_mut(), res.as_mut()).unwrap();
+            assert!(ini.session_key().is_ok() && res.session_key().is_ok());
+            failed.extend([ini, res]);
+
+            for (side, endpoint) in failed.iter_mut().enumerate() {
+                assert!(endpoint.step(Some(&a1)).is_err(), "{kind} side {side}");
+                assert!(endpoint.session_key().is_err(), "{kind} side {side}");
+                assert!(!endpoint.is_established(), "{kind} side {side}");
+                // `Failed` is terminal.
+                assert!(endpoint.step(None).is_err(), "{kind} side {side}");
+                assert!(endpoint.step(Some(&a1)).is_err(), "{kind} side {side}");
+            }
+        }
     }
 
     #[test]

@@ -32,14 +32,14 @@
 //! holding a long-term private key recomputes `S1` and therefore every
 //! past and future `S2` from public transcripts.
 
-use ecq_cert::{reconstruct_public_key, DeviceId, ImplicitCert};
+use ecq_cert::{reconstruct_public_key, ImplicitCert};
 use ecq_crypto::hmac::hmac_sha256_concat;
 use ecq_crypto::sha256::sha256_concat;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{
     Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    SessionKey, StepOutput, StsPhase, WireField,
 };
 
 /// Domain-separation label for the PORAMB KDF.
@@ -226,7 +226,7 @@ impl PorambInitiator {
         }
     }
 
-    fn handle_b1(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_b1(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let hello_b: [u8; 32] = msg
             .field(FieldKind::Hello)?
             .try_into()
@@ -243,7 +243,7 @@ impl PorambInitiator {
             &self.creds.cert,
         );
         self.state = InitState::AwaitB2;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "A2",
             vec![
                 WireField::new(FieldKind::Cert, self.creds.cert.to_bytes().to_vec()),
@@ -253,7 +253,7 @@ impl PorambInitiator {
         )))
     }
 
-    fn handle_b2(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_b2(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let cert_b = ImplicitCert::from_bytes(msg.field(FieldKind::Cert)?)?;
         let nonce_b: [u8; 32] = msg
             .field(FieldKind::Nonce)?
@@ -294,13 +294,13 @@ impl PorambInitiator {
         self.peer_cert = Some(cert_b);
         self.session = Some(ks);
         self.state = InitState::AwaitB3;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "A3",
             vec![WireField::new(FieldKind::Finish, finish)],
         )))
     }
 
-    fn handle_b3(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_b3(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let blob = msg.field(FieldKind::Finish)?;
         let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
         let cert_b = self.peer_cert.ok_or(ProtocolError::UnexpectedMessage)?;
@@ -313,22 +313,16 @@ impl PorambInitiator {
             &mut self.trace,
         )?;
         self.state = InitState::Established;
-        Ok(None)
+        Ok(StepOutput::Established)
     }
 }
 
 impl Endpoint for PorambInitiator {
-    fn id(&self) -> DeviceId {
-        self.creds.id
-    }
-    fn role(&self) -> Role {
-        Role::Initiator
-    }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        match self.state {
-            InitState::Start => {
+    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
+        let result = match (&self.state, incoming) {
+            (InitState::Start, None) => {
                 self.state = InitState::AwaitB1;
-                Ok(Some(Message::new(
+                Ok(StepOutput::Send(Message::new(
                     "A1",
                     vec![
                         WireField::new(FieldKind::Hello, self.hello.to_vec()),
@@ -336,19 +330,14 @@ impl Endpoint for PorambInitiator {
                     ],
                 )))
             }
-            _ => Err(ProtocolError::UnexpectedMessage),
-        }
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            InitState::AwaitB1 => self.handle_b1(msg),
-            InitState::AwaitB2 => self.handle_b2(msg),
-            InitState::AwaitB3 => self.handle_b3(msg),
+            (InitState::AwaitB1, Some(msg)) => self.handle_b1(msg),
+            (InitState::AwaitB2, Some(msg)) => self.handle_b2(msg),
+            (InitState::AwaitB3, Some(msg)) => self.handle_b3(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         };
         if result.is_err() {
             self.state = InitState::Failed;
-            self.session = None;
+            SessionKey::wipe_slot(&mut self.session);
         }
         result
     }
@@ -414,7 +403,7 @@ impl PorambResponder {
         }
     }
 
-    fn handle_a1(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_a1(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let hello_a: [u8; 32] = msg
             .field(FieldKind::Hello)?
             .try_into()
@@ -426,7 +415,7 @@ impl PorambResponder {
         self.hello = Some(hello_b);
         self.peer_hello = Some(hello_a);
         self.state = RespState::AwaitA2;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "B1",
             vec![
                 WireField::new(FieldKind::Hello, hello_b.to_vec()),
@@ -435,7 +424,7 @@ impl PorambResponder {
         )))
     }
 
-    fn handle_a2(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_a2(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let cert_a = ImplicitCert::from_bytes(msg.field(FieldKind::Cert)?)?;
         let nonce_a: [u8; 32] = msg
             .field(FieldKind::Nonce)?
@@ -478,7 +467,7 @@ impl PorambResponder {
         self.peer_cert = Some(cert_a);
         self.session = Some(ks);
         self.state = RespState::AwaitA3;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "B2",
             vec![
                 WireField::new(FieldKind::Cert, self.creds.cert.to_bytes().to_vec()),
@@ -488,7 +477,7 @@ impl PorambResponder {
         )))
     }
 
-    fn handle_a3(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_a3(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let blob = msg.field(FieldKind::Finish)?;
         let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
         let cert_a = self.peer_cert.ok_or(ProtocolError::UnexpectedMessage)?;
@@ -508,7 +497,7 @@ impl PorambResponder {
             &mut self.trace,
         );
         self.state = RespState::Established;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "B3",
             vec![WireField::new(FieldKind::Finish, own)],
         )))
@@ -516,25 +505,17 @@ impl PorambResponder {
 }
 
 impl Endpoint for PorambResponder {
-    fn id(&self) -> DeviceId {
-        self.creds.id
-    }
-    fn role(&self) -> Role {
-        Role::Responder
-    }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        Ok(None)
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            RespState::AwaitA1 => self.handle_a1(msg),
-            RespState::AwaitA2 => self.handle_a2(msg),
-            RespState::AwaitA3 => self.handle_a3(msg),
+    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
+        let result = match (&self.state, incoming) {
+            (RespState::AwaitA1, None) => Ok(StepOutput::Wait),
+            (RespState::AwaitA1, Some(msg)) => self.handle_a1(msg),
+            (RespState::AwaitA2, Some(msg)) => self.handle_a2(msg),
+            (RespState::AwaitA3, Some(msg)) => self.handle_a3(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         };
         if result.is_err() {
             self.state = RespState::Failed;
-            self.session = None;
+            SessionKey::wipe_slot(&mut self.session);
         }
         result
     }
@@ -556,6 +537,7 @@ impl Endpoint for PorambResponder {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -611,14 +593,14 @@ mod tests {
         let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"y");
         let mut alice = PorambInitiator::new(a, [7u8; 32], 0, &mut rng_a);
         let mut bob = PorambResponder::new(b, [7u8; 32], 0, &mut rng_b);
-        let a1 = alice.start().unwrap().unwrap();
-        let b1 = bob.on_message(&a1).unwrap().unwrap();
-        let a2 = alice.on_message(&b1).unwrap().unwrap();
-        let b2 = bob.on_message(&a2).unwrap().unwrap();
-        let mut a3 = alice.on_message(&b2).unwrap().unwrap();
+        let a1 = alice.step(None).unwrap().into_message().unwrap();
+        let b1 = bob.step(Some(&a1)).unwrap().into_message().unwrap();
+        let a2 = alice.step(Some(&b1)).unwrap().into_message().unwrap();
+        let b2 = bob.step(Some(&a2)).unwrap().into_message().unwrap();
+        let mut a3 = alice.step(Some(&b2)).unwrap().into_message().unwrap();
         a3.fields[0].bytes[50] ^= 1; // inside the cert echo
         assert_eq!(
-            bob.on_message(&a3).unwrap_err(),
+            bob.step(Some(&a3)).unwrap_err(),
             ProtocolError::AuthenticationFailed
         );
     }

@@ -24,13 +24,13 @@
 //! with a 96-byte `Fin` blob of three HMAC tags (transcript, nonces and
 //! key-confirmation labels) under the session MAC key.
 
-use ecq_cert::{DeviceId, ImplicitCert};
+use ecq_cert::ImplicitCert;
 use ecq_crypto::hmac::hmac_sha256_concat;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdsa::{self, Signature};
 use ecq_proto::{
     Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    SessionKey, StepOutput, StsPhase, WireField,
 };
 
 /// Domain-separation label for the S-ECDSA KDF.
@@ -122,7 +122,7 @@ impl SEcdsaInitiator {
         }
     }
 
-    fn handle_b1(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_b1(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let id_b = msg.field(FieldKind::Id)?;
         let cert_b = ImplicitCert::from_bytes(msg.field(FieldKind::Cert)?)?;
         let sig_b = Signature::from_bytes(msg.field(FieldKind::Signature)?)
@@ -174,7 +174,7 @@ impl SEcdsaInitiator {
         self.peer_nonce = Some(nonce_b);
         self.session = Some(ks);
         self.state = InitState::AwaitAck;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "A2",
             vec![
                 WireField::new(FieldKind::Cert, self.creds.cert.to_bytes().to_vec()),
@@ -183,7 +183,7 @@ impl SEcdsaInitiator {
         )))
     }
 
-    fn handle_ack(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_ack(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         if msg.field(FieldKind::Ack)? != [0x01] {
             return Err(ProtocolError::AuthenticationFailed);
         }
@@ -201,28 +201,22 @@ impl SEcdsaInitiator {
             )?;
             let own_fin = fin_blob(&ks, Role::Initiator, &self.nonce, &nonce_b, &mut self.trace);
             self.state = InitState::Established;
-            return Ok(Some(Message::new(
+            return Ok(StepOutput::Send(Message::new(
                 "A3",
                 vec![WireField::new(FieldKind::Fin, own_fin)],
             )));
         }
         self.state = InitState::Established;
-        Ok(None)
+        Ok(StepOutput::Established)
     }
 }
 
 impl Endpoint for SEcdsaInitiator {
-    fn id(&self) -> DeviceId {
-        self.creds.id
-    }
-    fn role(&self) -> Role {
-        Role::Initiator
-    }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        match self.state {
-            InitState::Start => {
+    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
+        let result = match (&self.state, incoming) {
+            (InitState::Start, None) => {
                 self.state = InitState::AwaitB1;
-                Ok(Some(Message::new(
+                Ok(StepOutput::Send(Message::new(
                     "A1",
                     vec![
                         WireField::new(FieldKind::Id, self.creds.id.as_bytes().to_vec()),
@@ -230,18 +224,13 @@ impl Endpoint for SEcdsaInitiator {
                     ],
                 )))
             }
-            _ => Err(ProtocolError::UnexpectedMessage),
-        }
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            InitState::AwaitB1 => self.handle_b1(msg),
-            InitState::AwaitAck => self.handle_ack(msg),
+            (InitState::AwaitB1, Some(msg)) => self.handle_b1(msg),
+            (InitState::AwaitAck, Some(msg)) => self.handle_ack(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         };
         if result.is_err() {
             self.state = InitState::Failed;
-            self.session = None;
+            SessionKey::wipe_slot(&mut self.session);
         }
         result
     }
@@ -300,7 +289,7 @@ impl SEcdsaResponder {
         }
     }
 
-    fn handle_a1(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_a1(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let id_a = msg.field(FieldKind::Id)?.to_vec();
         let nonce_a: [u8; 32] = msg
             .field(FieldKind::Nonce)?
@@ -322,7 +311,7 @@ impl SEcdsaResponder {
         self.peer_id = Some(id_a);
         self.peer_nonce = Some(nonce_a);
         self.state = RespState::AwaitA2;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "B1",
             vec![
                 WireField::new(FieldKind::Id, self.creds.id.as_bytes().to_vec()),
@@ -333,7 +322,7 @@ impl SEcdsaResponder {
         )))
     }
 
-    fn handle_a2(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_a2(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let cert_a = ImplicitCert::from_bytes(msg.field(FieldKind::Cert)?)?;
         let sig_a = Signature::from_bytes(msg.field(FieldKind::Signature)?)
             .map_err(|_| ProtocolError::AuthenticationFailed)?;
@@ -380,10 +369,10 @@ impl SEcdsaResponder {
         } else {
             self.state = RespState::Established;
         }
-        Ok(Some(Message::new("B2", fields)))
+        Ok(StepOutput::Send(Message::new("B2", fields)))
     }
 
-    fn handle_fin(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_fin(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let fin = msg.field(FieldKind::Fin)?;
         let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
         let nonce_a = self.peer_nonce.ok_or(ProtocolError::UnexpectedMessage)?;
@@ -397,30 +386,22 @@ impl SEcdsaResponder {
             &mut self.trace,
         )?;
         self.state = RespState::Established;
-        Ok(None)
+        Ok(StepOutput::Established)
     }
 }
 
 impl Endpoint for SEcdsaResponder {
-    fn id(&self) -> DeviceId {
-        self.creds.id
-    }
-    fn role(&self) -> Role {
-        Role::Responder
-    }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        Ok(None)
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            RespState::AwaitA1 => self.handle_a1(msg),
-            RespState::AwaitA2 => self.handle_a2(msg),
-            RespState::AwaitFin => self.handle_fin(msg),
+    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
+        let result = match (&self.state, incoming) {
+            (RespState::AwaitA1, None) => Ok(StepOutput::Wait),
+            (RespState::AwaitA1, Some(msg)) => self.handle_a1(msg),
+            (RespState::AwaitA2, Some(msg)) => self.handle_a2(msg),
+            (RespState::AwaitFin, Some(msg)) => self.handle_fin(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         };
         if result.is_err() {
             self.state = RespState::Failed;
-            self.session = None;
+            SessionKey::wipe_slot(&mut self.session);
         }
         result
     }
@@ -442,6 +423,7 @@ impl Endpoint for SEcdsaResponder {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -504,8 +486,8 @@ mod tests {
         let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"y");
         let mut alice = SEcdsaInitiator::new(a, 0, false, &mut rng_a);
         let mut bob = SEcdsaResponder::new(b, 0, false, &mut rng_b);
-        let a1 = alice.start().unwrap().unwrap();
-        let mut b1 = bob.on_message(&a1).unwrap().unwrap();
+        let a1 = alice.step(None).unwrap().into_message().unwrap();
+        let mut b1 = bob.step(Some(&a1)).unwrap().into_message().unwrap();
         // Flip one signature byte.
         for f in &mut b1.fields {
             if f.kind == FieldKind::Signature {
@@ -513,7 +495,7 @@ mod tests {
             }
         }
         assert_eq!(
-            alice.on_message(&b1).unwrap_err(),
+            alice.step(Some(&b1)).unwrap_err(),
             ProtocolError::AuthenticationFailed
         );
     }

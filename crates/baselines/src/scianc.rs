@@ -21,12 +21,12 @@
 //! exploitation": ∆ in Table III).
 
 use crate::skd::static_premaster_traced;
-use ecq_cert::{DeviceId, ImplicitCert};
+use ecq_cert::ImplicitCert;
 use ecq_crypto::hmac::hmac_sha256_concat;
 use ecq_crypto::HmacDrbg;
 use ecq_proto::{
     Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    SessionKey, StepOutput, StsPhase, WireField,
 };
 
 /// Domain-separation label for the SCIANC KDF.
@@ -94,7 +94,7 @@ impl SciancInitiator {
         }
     }
 
-    fn handle_b1(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_b1(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let id_b = msg.field(FieldKind::Id)?;
         let nonce_b: [u8; 32] = msg
             .field(FieldKind::Nonce)?
@@ -119,13 +119,13 @@ impl SciancInitiator {
         self.peer_nonce = Some(nonce_b);
         self.session = Some(ks);
         self.state = InitState::AwaitMac;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "A2",
             vec![WireField::new(FieldKind::Mac, mac.to_vec())],
         )))
     }
 
-    fn handle_mac(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_mac(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let mac = msg.field(FieldKind::Mac)?;
         let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
         let nonce_b = self.peer_nonce.ok_or(ProtocolError::UnexpectedMessage)?;
@@ -135,22 +135,16 @@ impl SciancInitiator {
             return Err(ProtocolError::AuthenticationFailed);
         }
         self.state = InitState::Established;
-        Ok(None)
+        Ok(StepOutput::Established)
     }
 }
 
 impl Endpoint for SciancInitiator {
-    fn id(&self) -> DeviceId {
-        self.creds.id
-    }
-    fn role(&self) -> Role {
-        Role::Initiator
-    }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        match self.state {
-            InitState::Start => {
+    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
+        let result = match (&self.state, incoming) {
+            (InitState::Start, None) => {
                 self.state = InitState::AwaitB1;
-                Ok(Some(Message::new(
+                Ok(StepOutput::Send(Message::new(
                     "A1",
                     vec![
                         WireField::new(FieldKind::Id, self.creds.id.as_bytes().to_vec()),
@@ -159,18 +153,13 @@ impl Endpoint for SciancInitiator {
                     ],
                 )))
             }
-            _ => Err(ProtocolError::UnexpectedMessage),
-        }
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            InitState::AwaitB1 => self.handle_b1(msg),
-            InitState::AwaitMac => self.handle_mac(msg),
+            (InitState::AwaitB1, Some(msg)) => self.handle_b1(msg),
+            (InitState::AwaitMac, Some(msg)) => self.handle_mac(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         };
         if result.is_err() {
             self.state = InitState::Failed;
-            self.session = None;
+            SessionKey::wipe_slot(&mut self.session);
         }
         result
     }
@@ -224,7 +213,7 @@ impl SciancResponder {
         }
     }
 
-    fn handle_a1(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_a1(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let id_a = msg.field(FieldKind::Id)?;
         let nonce_a: [u8; 32] = msg
             .field(FieldKind::Nonce)?
@@ -247,7 +236,7 @@ impl SciancResponder {
         self.peer_nonce = Some(nonce_a);
         self.session = Some(ks);
         self.state = RespState::AwaitA2;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "B1",
             vec![
                 WireField::new(FieldKind::Id, self.creds.id.as_bytes().to_vec()),
@@ -257,7 +246,7 @@ impl SciancResponder {
         )))
     }
 
-    fn handle_a2(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_a2(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let mac = msg.field(FieldKind::Mac)?;
         let ks = self.session.ok_or(ProtocolError::UnexpectedMessage)?;
         let nonce_a = self.peer_nonce.ok_or(ProtocolError::UnexpectedMessage)?;
@@ -270,7 +259,7 @@ impl SciancResponder {
         self.trace.record(StsPhase::Other, PrimitiveOp::MacTag);
         let own = auth_mac(&ks, Role::Responder, &nonce_a, &nonce_b);
         self.state = RespState::Established;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "B2",
             vec![WireField::new(FieldKind::Mac, own.to_vec())],
         )))
@@ -278,24 +267,16 @@ impl SciancResponder {
 }
 
 impl Endpoint for SciancResponder {
-    fn id(&self) -> DeviceId {
-        self.creds.id
-    }
-    fn role(&self) -> Role {
-        Role::Responder
-    }
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        Ok(None)
-    }
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            RespState::AwaitA1 => self.handle_a1(msg),
-            RespState::AwaitA2 => self.handle_a2(msg),
+    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
+        let result = match (&self.state, incoming) {
+            (RespState::AwaitA1, None) => Ok(StepOutput::Wait),
+            (RespState::AwaitA1, Some(msg)) => self.handle_a1(msg),
+            (RespState::AwaitA2, Some(msg)) => self.handle_a2(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         };
         if result.is_err() {
             self.state = RespState::Failed;
-            self.session = None;
+            SessionKey::wipe_slot(&mut self.session);
         }
         result
     }
@@ -317,6 +298,7 @@ impl Endpoint for SciancResponder {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
     use ecq_proto::ProtocolKind;
 
     fn setup(seed: u64) -> (Credentials, Credentials, HmacDrbg) {
@@ -346,12 +328,12 @@ mod tests {
         let mut rng_b = HmacDrbg::new(&rng.bytes32(), b"y");
         let mut alice = SciancInitiator::new(a, 0, &mut rng_a);
         let mut bob = SciancResponder::new(b, 0, &mut rng_b);
-        let a1 = alice.start().unwrap().unwrap();
-        let b1 = bob.on_message(&a1).unwrap().unwrap();
-        let mut a2 = alice.on_message(&b1).unwrap().unwrap();
+        let a1 = alice.step(None).unwrap().into_message().unwrap();
+        let b1 = bob.step(Some(&a1)).unwrap().into_message().unwrap();
+        let mut a2 = alice.step(Some(&b1)).unwrap().into_message().unwrap();
         a2.fields[0].bytes[5] ^= 1;
         assert_eq!(
-            bob.on_message(&a2).unwrap_err(),
+            bob.step(Some(&a2)).unwrap_err(),
             ProtocolError::AuthenticationFailed
         );
     }
@@ -387,7 +369,7 @@ mod tests {
             ],
         );
         assert_eq!(
-            bob.on_message(&msg).unwrap_err(),
+            bob.step(Some(&msg)).unwrap_err(),
             ProtocolError::AuthenticationFailed
         );
     }

@@ -6,7 +6,7 @@ use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
 use ecq_devices::timing::{cost_since, integrate, pair_total, pipelined_phases};
 use ecq_devices::{DevicePreset, DeviceProfile};
-use ecq_proto::{Credentials, Message, ProtocolError, ProtocolKind, SessionKey};
+use ecq_proto::{Credentials, ProtocolError, ProtocolKind, SessionKey};
 use ecq_simnet::app::AppMessage;
 use ecq_simnet::canfd::BitTiming;
 use ecq_simnet::isotp::{transfer_time_ns, IsoTpConfig};
@@ -92,7 +92,7 @@ impl BmsScenario {
         let mut cursors = [0usize; 2]; // trace entries already charged, BMS/EVCC
         let session_id = 0x0001;
 
-        let mut pending: Option<Message> = bms.start()?;
+        let mut pending = bms.step(None)?.into_message();
         let mut at_bms = true; // which endpoint just stepped
         let mut label = step_label(kind, "A1", true);
         loop {
@@ -121,7 +121,7 @@ impl BmsScenario {
             // Receiver processes.
             at_bms = !at_bms;
             let receiver = if at_bms { &mut bms } else { &mut evcc };
-            pending = receiver.on_message(&msg)?;
+            pending = receiver.step(Some(&msg))?.into_message();
             label = step_label(kind, msg.step, false);
         }
 

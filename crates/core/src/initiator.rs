@@ -4,7 +4,7 @@ use crate::auth::{
     auth_response, verify_response_hinted, ReconstructionHint, DIR_INITIATOR, DIR_RESPONDER,
 };
 use crate::{StsConfig, KDF_LABEL};
-use ecq_cert::{DeviceId, ImplicitCert};
+use ecq_cert::ImplicitCert;
 use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdh;
@@ -12,8 +12,8 @@ use ecq_p256::encoding::{decode_raw, encode_raw};
 use ecq_p256::keys::KeyPair;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{
-    Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, SessionKey,
+    StepOutput, StsPhase, WireField,
 };
 
 #[derive(Debug)]
@@ -86,7 +86,7 @@ impl StsInitiator {
         Ok(())
     }
 
-    fn handle_b1(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_b1(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let id_b = msg.field(FieldKind::Id)?;
         let cert_b = ImplicitCert::from_bytes(msg.field(FieldKind::Cert)?)?;
         let xg_b_bytes: [u8; 64] = msg
@@ -135,13 +135,21 @@ impl StsInitiator {
 
         self.session = Some(ks);
         self.state = State::AwaitAck;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "A2",
             vec![
                 WireField::new(FieldKind::Cert, self.creds.cert.to_bytes().to_vec()),
                 WireField::new(FieldKind::Response, resp_a.to_vec()),
             ],
         )))
+    }
+
+    fn handle_ack(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
+        if msg.field(FieldKind::Ack)? != [0x01] {
+            return Err(ProtocolError::AuthenticationFailed);
+        }
+        self.state = State::Established;
+        Ok(StepOutput::Established)
     }
 }
 
@@ -151,26 +159,16 @@ impl Drop for StsInitiator {
     /// ephemerals (paper §V, node-capture row of Table III).
     fn drop(&mut self) {
         self.ephemeral.zeroize();
-        if let Some(key) = self.session.as_mut() {
-            key.zeroize();
-        }
+        SessionKey::wipe_slot(&mut self.session);
     }
 }
 
 impl Endpoint for StsInitiator {
-    fn id(&self) -> DeviceId {
-        self.creds.id
-    }
-
-    fn role(&self) -> Role {
-        Role::Initiator
-    }
-
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        match self.state {
-            State::Start => {
+    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
+        let result = match (&self.state, incoming) {
+            (State::Start, None) => {
                 self.state = State::AwaitB1;
-                Ok(Some(Message::new(
+                Ok(StepOutput::Send(Message::new(
                     "A1",
                     vec![
                         WireField::new(FieldKind::Id, self.creds.id.as_bytes().to_vec()),
@@ -178,33 +176,13 @@ impl Endpoint for StsInitiator {
                     ],
                 )))
             }
-            _ => Err(ProtocolError::UnexpectedMessage),
-        }
-    }
-
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            State::AwaitB1 => self.handle_b1(msg),
-            State::AwaitAck => {
-                let ack = msg.field(FieldKind::Ack)?;
-                if ack == [0x01] {
-                    self.state = State::Established;
-                    Ok(None)
-                } else {
-                    Err(ProtocolError::AuthenticationFailed)
-                }
-            }
+            (State::AwaitB1, Some(msg)) => self.handle_b1(msg),
+            (State::AwaitAck, Some(msg)) => self.handle_ack(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         };
         if result.is_err() {
             self.state = State::Failed;
-            // Wipe in place before dropping the Option: clearing it
-            // alone would leave the key bytes resident (and invisible
-            // to our Drop impl) for the endpoint's remaining lifetime.
-            if let Some(key) = self.session.as_mut() {
-                key.zeroize();
-            }
-            self.session = None;
+            SessionKey::wipe_slot(&mut self.session);
         }
         result
     }
@@ -229,6 +207,7 @@ impl Endpoint for StsInitiator {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
 
     fn creds(seed: u64) -> (Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -241,7 +220,7 @@ mod tests {
     fn start_emits_a1_with_correct_layout() {
         let (c, mut rng) = creds(121);
         let mut init = StsInitiator::new(c, StsConfig::default(), &mut rng);
-        let a1 = init.start().unwrap().unwrap();
+        let a1 = init.step(None).unwrap().into_message().unwrap();
         assert_eq!(a1.step, "A1");
         assert_eq!(a1.wire_len(), 80);
         assert!(!init.is_established());
@@ -252,8 +231,8 @@ mod tests {
     fn double_start_rejected() {
         let (c, mut rng) = creds(122);
         let mut init = StsInitiator::new(c, StsConfig::default(), &mut rng);
-        init.start().unwrap();
-        assert!(init.start().is_err());
+        init.step(None).unwrap();
+        assert!(init.step(None).is_err());
     }
 
     #[test]
@@ -267,10 +246,10 @@ mod tests {
     fn unexpected_message_fails_cleanly() {
         let (c, mut rng) = creds(124);
         let mut init = StsInitiator::new(c, StsConfig::default(), &mut rng);
-        init.start().unwrap();
+        init.step(None).unwrap();
         let bogus = Message::new("B2", vec![WireField::new(FieldKind::Ack, vec![1])]);
         // AwaitB1 state: an ACK has no Id field -> decode error.
-        assert!(init.on_message(&bogus).is_err());
+        assert!(init.step(Some(&bogus)).is_err());
         assert!(!init.is_established());
     }
 }

@@ -4,7 +4,7 @@ use crate::auth::{
     auth_response, verify_response_hinted, ReconstructionHint, DIR_INITIATOR, DIR_RESPONDER,
 };
 use crate::{StsConfig, KDF_LABEL};
-use ecq_cert::{DeviceId, ImplicitCert};
+use ecq_cert::ImplicitCert;
 use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_p256::ecdh;
@@ -12,8 +12,8 @@ use ecq_p256::encoding::{decode_raw, encode_raw};
 use ecq_p256::point::mul_generator_ct;
 use ecq_p256::scalar::Scalar;
 use ecq_proto::{
-    Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, Role,
-    SessionKey, StsPhase, WireField,
+    Credentials, Endpoint, FieldKind, Message, OpTrace, PrimitiveOp, ProtocolError, SessionKey,
+    StepOutput, StsPhase, WireField,
 };
 
 #[derive(Debug)]
@@ -68,7 +68,7 @@ impl StsResponder {
         self
     }
 
-    fn handle_a1(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_a1(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let id_a = msg.field(FieldKind::Id)?.to_vec();
         let xg_a_bytes: [u8; 64] = msg
             .field(FieldKind::EphemeralPoint)?
@@ -111,7 +111,7 @@ impl StsResponder {
         self.session = Some(ks);
         self.state = State::AwaitA2;
 
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "B1",
             vec![
                 WireField::new(FieldKind::Id, self.creds.id.as_bytes().to_vec()),
@@ -122,7 +122,7 @@ impl StsResponder {
         )))
     }
 
-    fn handle_a2(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    fn handle_a2(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
         let cert_a = ImplicitCert::from_bytes(msg.field(FieldKind::Cert)?)?;
         let resp_a = msg.field(FieldKind::Response)?;
 
@@ -154,7 +154,7 @@ impl StsResponder {
         )?;
 
         self.state = State::Established;
-        Ok(Some(Message::new(
+        Ok(StepOutput::Send(Message::new(
             "B2",
             vec![WireField::new(FieldKind::Ack, vec![0x01])],
         )))
@@ -167,40 +167,21 @@ impl Drop for StsResponder {
         if let Some((x_b, _)) = self.ephemeral.as_mut() {
             x_b.zeroize();
         }
-        if let Some(key) = self.session.as_mut() {
-            key.zeroize();
-        }
+        SessionKey::wipe_slot(&mut self.session);
     }
 }
 
 impl Endpoint for StsResponder {
-    fn id(&self) -> DeviceId {
-        self.creds.id
-    }
-
-    fn role(&self) -> Role {
-        Role::Responder
-    }
-
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-        Ok(None)
-    }
-
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        let result = match self.state {
-            State::AwaitA1 => self.handle_a1(msg),
-            State::AwaitA2 => self.handle_a2(msg),
+    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
+        let result = match (&self.state, incoming) {
+            (State::AwaitA1, None) => Ok(StepOutput::Wait),
+            (State::AwaitA1, Some(msg)) => self.handle_a1(msg),
+            (State::AwaitA2, Some(msg)) => self.handle_a2(msg),
             _ => Err(ProtocolError::UnexpectedMessage),
         };
         if result.is_err() {
             self.state = State::Failed;
-            // Wipe in place before dropping the Option: clearing it
-            // alone would leave the key bytes resident (and invisible
-            // to our Drop impl) for the endpoint's remaining lifetime.
-            if let Some(key) = self.session.as_mut() {
-                key.zeroize();
-            }
-            self.session = None;
+            SessionKey::wipe_slot(&mut self.session);
         }
         result
     }
@@ -225,6 +206,7 @@ impl Endpoint for StsResponder {
 mod tests {
     use super::*;
     use ecq_cert::ca::CertificateAuthority;
+    use ecq_cert::DeviceId;
 
     fn creds(seed: u64) -> (Credentials, HmacDrbg) {
         let mut rng = HmacDrbg::from_seed(seed);
@@ -237,7 +219,7 @@ mod tests {
     fn responder_starts_silent() {
         let (c, mut rng) = creds(131);
         let mut resp = StsResponder::new(c, StsConfig::default(), &mut rng);
-        assert!(resp.start().unwrap().is_none());
+        assert_eq!(resp.step(None).unwrap(), StepOutput::Wait);
         assert!(!resp.is_established());
     }
 
@@ -253,7 +235,7 @@ mod tests {
                 WireField::new(FieldKind::EphemeralPoint, vec![0; 64]),
             ],
         );
-        assert!(resp.on_message(&msg).is_err());
+        assert!(resp.step(Some(&msg)).is_err());
         assert!(!resp.is_established());
         assert!(resp.session_key().is_err());
     }
@@ -270,6 +252,6 @@ mod tests {
             ],
         );
         // In AwaitA1, an A2-shaped message lacks the Id field.
-        assert!(resp.on_message(&msg).is_err());
+        assert!(resp.step(Some(&msg)).is_err());
     }
 }

@@ -1,20 +1,13 @@
-//! Equivalence of the three ways to drive an STS handshake:
-//!
-//! 1. the classic run-to-completion callback loop (`start` /
-//!    `on_message`, the pre-transport driver),
-//! 2. the poll-style [`Endpoint::step`] state machine fed through a
-//!    virtual-time [`ChannelTransport`],
-//! 3. the [`run_handshake`] convenience driver.
-//!
-//! All three must produce byte-identical transcripts and the same
-//! session key for identically seeded endpoints — the message-granular
-//! scheduler path changes *when* messages move, never *what* they say.
+//! A hand-driven [`Endpoint::step`] exchange and the [`run_handshake`]
+//! loop produce byte-identical transcripts and the same session key
+//! for identically seeded endpoints: a scheduler that delivers each
+//! message as its own event changes *when* messages move, never *what*
+//! they say.
 
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
-use ecq_proto::transport::ChannelTransport;
-use ecq_proto::{run_handshake, Credentials, Endpoint, Role, SessionKey, StepOutput};
+use ecq_proto::{run_handshake, Credentials, Endpoint, SessionKey, StepOutput};
 use ecq_sts::{endpoint_pair, StsConfig, StsInitiator, StsResponder, StsVariant};
 
 fn endpoints(seed: u64, variant: StsVariant) -> (StsInitiator, StsResponder) {
@@ -25,109 +18,52 @@ fn endpoints(seed: u64, variant: StsVariant) -> (StsInitiator, StsResponder) {
     endpoint_pair(a, b, &StsConfig { now: 0, variant }, &mut rng)
 }
 
-/// The pre-transport driver, verbatim: alternate `start`/`on_message`
-/// until a side stops replying. Returns the raw bytes of each message.
-fn drive_callbacks(alice: &mut StsInitiator, bob: &mut StsResponder) -> (Vec<Vec<u8>>, SessionKey) {
+/// Steps the two endpoints by hand, one message at a time, until a
+/// side has nothing more to send. Returns the raw bytes of each message.
+fn drive_steps(alice: &mut StsInitiator, bob: &mut StsResponder) -> (Vec<Vec<u8>>, SessionKey) {
     let mut wire = Vec::new();
-    let mut pending = alice.start().unwrap();
-    let mut sender = Role::Initiator;
-    while let Some(msg) = pending {
+    let mut out = alice.step(None).unwrap();
+    let mut to_bob = true;
+    while let StepOutput::Send(msg) = out {
         wire.push(msg.encode());
-        pending = match sender {
-            Role::Initiator => bob.on_message(&msg).unwrap(),
-            Role::Responder => alice.on_message(&msg).unwrap(),
-        };
-        sender = sender.peer();
-    }
-    assert!(alice.is_established() && bob.is_established());
-    (wire, alice.session_key().unwrap())
-}
-
-/// The message-granularity driver: `step` outputs go through a
-/// latency-bearing transport, and each delivery is consumed at its own
-/// virtual timestamp.
-fn drive_transport(
-    alice: &mut StsInitiator,
-    bob: &mut StsResponder,
-    latency_us: u64,
-) -> (Vec<Vec<u8>>, SessionKey, u64) {
-    let mut link = ChannelTransport::new(latency_us);
-    let mut wire = Vec::new();
-    let mut now = 0u64;
-
-    let StepOutput::Send(a1) = alice.step(None).unwrap() else {
-        panic!("initiator must open");
-    };
-    wire.push(a1.encode());
-    link.send_frame(Role::Initiator, a1, now);
-
-    let mut to = Role::Responder;
-    while let Some(at) = link.next_delivery(to) {
-        now = at;
-        let msg = link.recv_frame(to, now).unwrap();
-        match (if to == Role::Responder {
+        out = if to_bob {
             bob.step(Some(&msg))
         } else {
             alice.step(Some(&msg))
-        })
-        .unwrap()
-        {
-            StepOutput::Send(reply) => {
-                wire.push(reply.encode());
-                link.send_frame(to, reply, now);
-                to = to.peer();
-            }
-            StepOutput::Established | StepOutput::Wait => break,
         }
+        .unwrap();
+        to_bob = !to_bob;
     }
+    assert_eq!(out, StepOutput::Established);
     assert!(alice.is_established() && bob.is_established());
-    (wire, alice.session_key().unwrap(), now)
+    (wire, alice.session_key().unwrap())
 }
 
 #[test]
 fn step_transcripts_match_run_to_completion_bytes() {
     for variant in StsVariant::ALL {
-        for seed in [1u64, 2, 99, 0xFEED] {
+        for seed in [1u64, 2, 7, 99, 0xFEED] {
             let (mut a1, mut b1) = endpoints(seed, variant);
-            let (old_wire, old_key) = drive_callbacks(&mut a1, &mut b1);
+            let transcript = run_handshake(&mut a1, &mut b1).unwrap();
+            let loop_wire: Vec<Vec<u8>> = transcript
+                .messages()
+                .iter()
+                .map(|m| m.bytes.clone())
+                .collect();
+            assert_eq!(transcript.total_bytes(), 491); // Table II
 
             let (mut a2, mut b2) = endpoints(seed, variant);
-            let (new_wire, new_key, end) = drive_transport(&mut a2, &mut b2, 1500);
+            let (manual_wire, key) = drive_steps(&mut a2, &mut b2);
 
-            assert_eq!(old_wire, new_wire, "seed {seed}: bytes must be identical");
-            assert_eq!(old_key, new_key, "seed {seed}: keys must agree");
-            // 4 messages × 1.5 ms of link latency actually elapsed.
-            assert!(end >= 4 * 1500);
+            assert_eq!(
+                loop_wire, manual_wire,
+                "seed {seed}: bytes must be identical"
+            );
+            assert_eq!(
+                a1.session_key().unwrap(),
+                key,
+                "seed {seed}: keys must agree"
+            );
         }
     }
-}
-
-#[test]
-fn run_handshake_driver_matches_both() {
-    let (mut a1, mut b1) = endpoints(7, StsVariant::Conventional);
-    let transcript = run_handshake(&mut a1, &mut b1).unwrap();
-    let driver_wire: Vec<Vec<u8>> = transcript
-        .messages()
-        .iter()
-        .map(|m| m.bytes.clone())
-        .collect();
-
-    let (mut a2, mut b2) = endpoints(7, StsVariant::Conventional);
-    let (manual_wire, key, _) = drive_transport(&mut a2, &mut b2, 0);
-    assert_eq!(driver_wire, manual_wire);
-    assert_eq!(a1.session_key().unwrap(), key);
-    assert_eq!(transcript.total_bytes(), 491); // Table II
-}
-
-#[test]
-fn latency_does_not_change_bytes() {
-    let runs: Vec<Vec<Vec<u8>>> = [0u64, 10, 100_000]
-        .iter()
-        .map(|&lat| {
-            let (mut a, mut b) = endpoints(31, StsVariant::Conventional);
-            drive_transport(&mut a, &mut b, lat).0
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1]);
-    assert_eq!(runs[0], runs[2]);
 }

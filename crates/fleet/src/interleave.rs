@@ -22,10 +22,9 @@
 //! # Parallelism / determinism contract
 //!
 //! A bus group — `group` consecutive sessions on one
-//! [`TransportKind::SharedBus`], or a single session on a private
-//! [`TransportKind::Channel`] link — shares no simulation state with
-//! any other group, so its entire outcome is a pure function of its
-//! own work items. Three rules keep the
+//! [`TransportKind::SharedBus`] (`group = 1` is a private link) —
+//! shares no simulation state with any other group, so its entire
+//! outcome is a pure function of its own work items. Three rules keep the
 //! `(config, seed)` report bit-identical for any worker count and any
 //! admission window:
 //!
@@ -53,20 +52,15 @@ use ecq_cert::CertError;
 use ecq_crypto::{ct, HmacDrbg};
 use ecq_devices::timing::cost_since;
 use ecq_devices::{DevicePreset, DeviceProfile};
-use ecq_proto::transport::ChannelTransport;
 use ecq_proto::{Credentials, Endpoint, ProtocolError, Role, SessionKey, StepOutput};
 use ecq_simnet::transport::pair_overheads;
 use ecq_simnet::{FaultCounters, FaultPlan, FaultSpec, FrameRecord, SharedBus};
 use ecq_sts::{endpoint_pair, StsConfig, StsInitiator, StsResponder, StsVariant};
 
-/// Which link implementation carries the handshake messages.
+/// How the sweep's sessions share CAN-FD buses: every handshake
+/// message rides a slot on an `ecq_simnet::SharedBus`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-memory channel with a fixed per-message latency (µs).
-    Channel {
-        /// Per-message delivery latency in virtual microseconds.
-        latency_us: u64,
-    },
     /// One arbitrated CAN-FD bus per `group` consecutive sessions
     /// (`ecq_simnet::SharedBus`): their frames compete for the wire and
     /// the sweep's [`FaultSpec`] applies. Every frame pays per-frame
@@ -107,10 +101,10 @@ pub struct SweepOptions {
     /// Host worker threads to shard the session population across
     /// (clamped to at least 1). The report is identical for any value.
     pub threads: usize,
-    /// Link implementation for every pair.
+    /// Bus grouping for every session.
     pub transport: TransportKind,
-    /// Fault schedule applied to every CAN-FD bus (ignored by the
-    /// channel link; [`FaultSpec::none`] injects nothing).
+    /// Fault schedule applied to every CAN-FD bus
+    /// ([`FaultSpec::none`] injects nothing).
     /// The spec's `deadline_us` bounds the sweep: sessions unfinished
     /// at the deadline fail closed with [`ProtocolError::Timeout`].
     pub faults: FaultSpec,
@@ -162,7 +156,7 @@ impl SweepOptions {
         self
     }
 
-    /// Sets the link implementation.
+    /// Sets the bus grouping.
     #[must_use]
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
@@ -274,17 +268,6 @@ pub(crate) struct GroupOutcome {
     pub buses: Vec<BusTrace>,
 }
 
-/// The wire under one session: a private channel or a slot on a shared
-/// bus co-owned by the worker's bus group.
-enum Link {
-    Channel(ChannelTransport),
-    Shared {
-        bus: Rc<RefCell<SharedBus>>,
-        bus_id: usize,
-        slot: usize,
-    },
-}
-
 /// A live session inside one worker's event loop.
 struct Live {
     /// Global session index (for the delivery log and event lanes;
@@ -292,7 +275,10 @@ struct Live {
     index: usize,
     initiator: StsInitiator,
     responder: StsResponder,
-    link: Link,
+    /// The session's wire: a slot on the bus its group co-owns.
+    bus: Rc<RefCell<SharedBus>>,
+    bus_id: usize,
+    bus_slot: usize,
     profiles: [DeviceProfile; 2],
     cursors: [usize; 2],
     result: SessionResult,
@@ -344,26 +330,33 @@ impl Live {
     }
 
     fn recv_message(&mut self, to: Role, now: VirtualTime) -> Option<ecq_proto::Message> {
-        match &mut self.link {
-            Link::Channel(t) => t.recv_frame(to, now),
-            Link::Shared { bus, slot, .. } => bus.borrow_mut().recv(*slot, to, now),
-        }
+        self.bus.borrow_mut().recv(self.bus_slot, to, now)
+    }
+
+    /// Puts `msg` on the session's bus and schedules the bus to
+    /// arbitrate it; the peer's delivery follows from that advance.
+    fn send(
+        &self,
+        from: Role,
+        msg: ecq_proto::Message,
+        done_at: VirtualTime,
+        scheduler: &mut LaneScheduler<Event>,
+    ) {
+        self.bus
+            .borrow_mut()
+            .send(self.bus_slot, from, msg, done_at);
+        scheduler.schedule(
+            done_at,
+            LANE_BUS + self.bus_id as u64,
+            Event::BusAdvance { bus: self.bus_id },
+        );
     }
 
     fn capture_stats(&mut self) {
-        match &self.link {
-            Link::Channel(t) => {
-                self.result.messages = t.messages_carried();
-                self.result.wire_bytes = t.bytes_carried();
-                self.result.frames = 0;
-            }
-            Link::Shared { bus, slot, .. } => {
-                let s = bus.borrow().slot_stats(*slot);
-                self.result.messages = s.messages;
-                self.result.wire_bytes = s.bytes;
-                self.result.frames = s.frames;
-            }
-        }
+        let s = self.bus.borrow().slot_stats(self.bus_slot);
+        self.result.messages = s.messages;
+        self.result.wire_bytes = s.bytes;
+        self.result.frames = s.frames;
     }
 
     /// Closes an established session. Both sides claiming establishment
@@ -392,44 +385,6 @@ impl Live {
     }
 }
 
-/// Sends `msg` over the session's link and schedules the follow-up
-/// event: the peer's delivery (a channel decides arrival itself) or a
-/// bus-advance (shared links arbitrate first).
-fn dispatch_send(
-    session: &mut Live,
-    slot: usize,
-    from: Role,
-    msg: ecq_proto::Message,
-    done_at: VirtualTime,
-    scheduler: &mut LaneScheduler<Event>,
-) {
-    match &mut session.link {
-        Link::Channel(t) => {
-            let arrival = t.send_frame(from, msg, done_at);
-            scheduler.schedule(
-                arrival,
-                session.index as u64,
-                Event::Deliver {
-                    slot,
-                    to: from.peer(),
-                },
-            );
-        }
-        Link::Shared {
-            bus,
-            bus_id,
-            slot: bus_slot,
-        } => {
-            bus.borrow_mut().send(*bus_slot, from, msg, done_at);
-            scheduler.schedule(
-                done_at,
-                LANE_BUS + *bus_id as u64,
-                Event::BusAdvance { bus: *bus_id },
-            );
-        }
-    }
-}
-
 /// Runs a set of sessions — in the engine, one bus group — under a
 /// single virtual clock, delivering messages as events. Takes its
 /// sessions by value so the prepared credentials move straight into
@@ -439,14 +394,14 @@ fn dispatch_send(
 ///
 /// # Panics
 ///
-/// Under [`TransportKind::SharedBus`], panics if `work` contains a bus
-/// group with members missing: a bus split across sweep shards would
-/// arbitrate different traffic per layout and break the determinism
-/// contract, so it is rejected loudly rather than simulated wrong.
+/// Panics if `work` contains a bus group with members missing: a bus
+/// split across sweep shards would arbitrate different traffic per
+/// layout and break the determinism contract, so it is rejected loudly
+/// rather than simulated wrong.
 pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usize) -> GroupOutcome {
-    if let TransportKind::SharedBus { group } = cfg.transport {
-        assert_complete_buses(&work, group.max(1), total);
-    }
+    let TransportKind::SharedBus { group } = cfg.transport;
+    let group = group.max(1);
+    assert_complete_buses(&work, group, total);
 
     let mut live: Vec<Option<Live>> = Vec::with_capacity(work.len());
     // Slots whose state was lost while events were still due for them.
@@ -465,35 +420,22 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
         // Register the bus slot for *every* session — including denied
         // ones — so slot numbering (and thus arbitration priority)
         // matches the global layout `bus slot = index % group`.
-        let link = match cfg.transport {
-            TransportKind::SharedBus { group } => {
-                let group = group.max(1);
-                let bus_id = w.index / group;
-                let bus = buses
-                    .entry(bus_id)
-                    .or_insert_with(|| {
-                        Rc::new(RefCell::new(SharedBus::new(FaultPlan::new(
-                            cfg.faults,
-                            bus_id as u64,
-                        ))))
-                    })
-                    .clone();
-                let bus_slot = bus.borrow_mut().add_slot(
-                    (w.index & 0xFFFF) as u16,
-                    pair_overheads(&w.preset_a.profile(), &w.preset_b.profile()),
-                );
-                debug_assert_eq!(bus_slot, w.index % group, "bus slots follow session order");
-                slot_of.insert((bus_id, bus_slot), slot);
-                Link::Shared {
-                    bus,
-                    bus_id,
-                    slot: bus_slot,
-                }
-            }
-            TransportKind::Channel { latency_us } => {
-                Link::Channel(ChannelTransport::new(latency_us))
-            }
-        };
+        let bus_id = w.index / group;
+        let bus = buses
+            .entry(bus_id)
+            .or_insert_with(|| {
+                Rc::new(RefCell::new(SharedBus::new(FaultPlan::new(
+                    cfg.faults,
+                    bus_id as u64,
+                ))))
+            })
+            .clone();
+        let bus_slot = bus.borrow_mut().add_slot(
+            (w.index & 0xFFFF) as u16,
+            pair_overheads(&w.preset_a.profile(), &w.preset_b.profile()),
+        );
+        debug_assert_eq!(bus_slot, w.index % group, "bus slots follow session order");
+        slot_of.insert((bus_id, bus_slot), slot);
         if w.denied {
             if let Some(d) = denied_slots.get_mut(slot) {
                 *d = true;
@@ -521,7 +463,9 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
             index: w.index,
             initiator,
             responder,
-            link,
+            bus,
+            bus_id,
+            bus_slot,
             profiles: [w.preset_a.profile(), w.preset_b.profile()],
             cursors: [0, 0],
             result: SessionResult::empty(),
@@ -550,7 +494,7 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
                 session.last_event_us = now;
                 match session.step(Role::Initiator, None, now) {
                     Ok((StepOutput::Send(msg), done_at)) => {
-                        dispatch_send(session, slot, Role::Initiator, msg, done_at, &mut scheduler);
+                        session.send(Role::Initiator, msg, done_at, &mut scheduler);
                     }
                     Ok((_, done_at)) => session.fail(ProtocolError::Stalled, done_at),
                     Err(e) => session.fail(e, now),
@@ -582,20 +526,11 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
                         continue;
                     }
                 }
-                let msg = match session.recv_message(to, now) {
-                    Some(msg) => msg,
-                    None => {
-                        // A shared-bus delivery can evaporate (the
-                        // message was lost to faults after its sibling
-                        // scheduled this event, or a replay already
-                        // consumed it); a private link's schedule is
-                        // exact.
-                        debug_assert!(
-                            matches!(session.link, Link::Shared { .. }),
-                            "private delivery must be due"
-                        );
-                        continue;
-                    }
+                // A delivery can evaporate: the message was lost to
+                // faults after its sibling scheduled this event, or a
+                // replay already consumed it.
+                let Some(msg) = session.recv_message(to, now) else {
+                    continue;
                 };
                 log.push(DeliveryRecord {
                     session: session.index,
@@ -604,7 +539,7 @@ pub(crate) fn run_worker(work: Vec<SessionWork>, cfg: &SweepOptions, total: usiz
                 });
                 match session.step(to, Some(&msg), now) {
                     Ok((StepOutput::Send(reply), done_at)) => {
-                        dispatch_send(session, slot, to, reply, done_at, &mut scheduler);
+                        session.send(to, reply, done_at, &mut scheduler);
                         // A responder that just sent B2 is established;
                         // the session finishes when the initiator
                         // consumes it.
@@ -772,10 +707,8 @@ where
 {
     use std::sync::mpsc::{channel, sync_channel, TrySendError};
 
-    let group = match opts.transport {
-        TransportKind::SharedBus { group } => group.max(1),
-        _ => 1,
-    };
+    let TransportKind::SharedBus { group } = opts.transport;
+    let group = group.max(1);
     // Never more workers than bus groups: an idle worker only costs a
     // thread spawn.
     let groups = total.div_ceil(group).max(1);

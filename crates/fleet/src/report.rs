@@ -40,7 +40,7 @@ pub struct FleetReport {
     pub messages: u64,
     /// Handshake payload bytes those messages carried.
     pub wire_bytes: u64,
-    /// Link-layer CAN-FD frames moved (0 for the channel transport).
+    /// Link-layer CAN-FD frames moved.
     pub can_frames: u64,
     /// Handshakes denied because a participant's certificate was on the
     /// coordinator's revocation list.
@@ -53,8 +53,7 @@ pub struct FleetReport {
     /// scheduler invariant or crashed worker; 0 on a healthy run).
     pub poisoned: u64,
     /// Fault-engine activity summed over every CAN-FD bus in the
-    /// sweeps (all-zero for channel links or an inactive fault
-    /// spec).
+    /// sweeps (all-zero under an inactive fault spec).
     pub faults: ecq_simnet::FaultCounters,
     /// SHA-256 over every session's outcome (key bytes or failure
     /// marker) in session-index order — the cheap cross-run and

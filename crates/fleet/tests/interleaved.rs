@@ -122,24 +122,6 @@ fn handshakes_interleave_across_sessions() {
 }
 
 #[test]
-fn keys_are_transport_independent_but_makespan_is_not() {
-    // The derived keys depend only on the endpoint RNG streams; the
-    // link model only decides *when* messages move.
-    let simnet = sweep(24, 0xF00D, &SweepOptions::default());
-    let channel = sweep(
-        24,
-        0xF00D,
-        &SweepOptions::new()
-            .threads(1)
-            .transport(TransportKind::Channel { latency_us: 0 }),
-    );
-    assert_eq!(simnet.report().key_digest, channel.report().key_digest);
-    assert_eq!(channel.report().can_frames, 0);
-    assert!(simnet.report().can_frames > 0);
-    assert!(simnet.report().handshake_makespan_us > channel.report().handshake_makespan_us);
-}
-
-#[test]
 fn pre_sweep_revocation_denies_only_the_revoked_pair() {
     let mut fleet = FleetCoordinator::new(config(24, 0xDEAD));
     fleet.enroll_all().unwrap();
@@ -319,20 +301,14 @@ fn faults() -> FaultSpec {
     }
 }
 
-/// Golden establishment reports for a 24-device fleet, one per link
-/// model: key digest, handshake makespan, messages, wire bytes, CAN-FD
+/// Golden establishment reports for a 24-device fleet, one per bus
+/// layout: key digest, handshake makespan, messages, wire bytes, CAN-FD
 /// frames and keyed sessions. The private-CAN-FD values were captured
 /// from the retired point-to-point CAN-FD link model, which a one-slot
 /// shared bus reproduces exactly.
 #[test]
 fn establishment_reports_match_golden_values() {
     let cases = [
-        (
-            TransportKind::Channel { latency_us: 0 },
-            FaultSpec::none(),
-            "b4546aaaf4894739547f9edc7977494fc9b4dc8fc5e3f1a55893c17df9ce8349",
-            (24_942_370, 44, 5401, 0, 11),
-        ),
         (
             TransportKind::SharedBus { group: 1 },
             FaultSpec::none(),

@@ -5,7 +5,6 @@ use crate::session::SessionKey;
 use crate::trace::OpTrace;
 use crate::transcript::{LoggedMessage, Transcript};
 use crate::wire::Message;
-use ecq_cert::DeviceId;
 
 /// The two handshake roles — the paper's ALICE (initiator) and BOB
 /// (responder) of Fig. 2.
@@ -25,22 +24,9 @@ impl Role {
             Role::Responder => Role::Initiator,
         }
     }
-
-    /// The paper's step-label prefix for this role ("A" or "B").
-    pub fn prefix(&self) -> &'static str {
-        match self {
-            Role::Initiator => "A",
-            Role::Responder => "B",
-        }
-    }
 }
 
-/// What a poll-style endpoint asks of its driver after one step.
-///
-/// [`Endpoint::step`] turns the message-callback interface into an
-/// explicit state machine a scheduler can advance one wire message at a
-/// time: feed an incoming message (or `None` to kick off an initiator),
-/// get back the transport action.
+/// What an endpoint asks of its caller after one [`Endpoint::step`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StepOutput {
     /// Hand this message to the transport for delivery to the peer.
@@ -55,30 +41,33 @@ pub enum StepOutput {
     Established,
 }
 
+impl StepOutput {
+    /// The message to send, if this step produced one.
+    pub fn into_message(self) -> Option<Message> {
+        match self {
+            StepOutput::Send(msg) => Some(msg),
+            StepOutput::Wait | StepOutput::Established => None,
+        }
+    }
+}
+
 /// A protocol endpoint: one side of a two-party key-derivation
-/// handshake, advanced by feeding it messages.
+/// handshake, an explicit state machine advanced one wire message at a
+/// time by [`Endpoint::step`].
 pub trait Endpoint {
-    /// This endpoint's identity.
-    fn id(&self) -> DeviceId;
-
-    /// This endpoint's role.
-    fn role(&self) -> Role;
-
-    /// Called once on the initiator to produce the opening message.
-    /// Responders return `Ok(None)`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ProtocolError`] aborting the handshake.
-    fn start(&mut self) -> Result<Option<Message>, ProtocolError>;
-
-    /// Feeds an incoming message; returns the reply, if any.
+    /// Advances the state machine by one message: `None` opens the
+    /// handshake on an initiator (a waiting responder answers
+    /// [`StepOutput::Wait`]), `Some` feeds an incoming wire message.
+    /// [`run_handshake`], the fleet sweep engine, the BMS timeline, the
+    /// service daemon and client all move messages through this method.
     ///
     /// # Errors
     ///
     /// Any [`ProtocolError`] aborting the handshake (authentication
-    /// failure, decode error, unexpected state).
-    fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError>;
+    /// failure, decode error, a message the current state does not
+    /// expect). An error is terminal: the endpoint wipes any derived
+    /// key and refuses every later step.
+    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError>;
 
     /// Whether the handshake has completed on this side.
     fn is_established(&self) -> bool;
@@ -92,27 +81,6 @@ pub trait Endpoint {
 
     /// The primitive-operation trace accumulated so far.
     fn trace(&self) -> &OpTrace;
-
-    /// Advances the state machine by one message: `None` kicks off an
-    /// initiator (a responder answers [`StepOutput::Wait`]), `Some`
-    /// feeds an incoming wire message. This is the poll-style interface
-    /// message-granularity schedulers drive; [`run_handshake`] is a
-    /// run-to-completion loop over exactly this method.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ProtocolError`] aborting the handshake.
-    fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
-        let outgoing = match incoming {
-            Some(msg) => self.on_message(msg)?,
-            None => self.start()?,
-        };
-        Ok(match outgoing {
-            Some(msg) => StepOutput::Send(msg),
-            None if self.is_established() => StepOutput::Established,
-            None => StepOutput::Wait,
-        })
-    }
 }
 
 /// Maximum message exchanges before the driver declares a stall.
@@ -135,14 +103,8 @@ pub fn run_handshake(
     initiator: &mut dyn Endpoint,
     responder: &mut dyn Endpoint,
 ) -> Result<Transcript, ProtocolError> {
-    debug_assert_eq!(initiator.role(), Role::Initiator);
-    debug_assert_eq!(responder.role(), Role::Responder);
-
     let mut messages = Vec::new();
-    let mut pending = match initiator.step(None)? {
-        StepOutput::Send(msg) => Some(msg),
-        StepOutput::Wait | StepOutput::Established => None,
-    };
+    let mut pending = initiator.step(None)?.into_message();
     let mut sender = Role::Initiator;
 
     let mut rounds = 0;
@@ -156,10 +118,7 @@ pub fn run_handshake(
             Role::Initiator => responder,
             Role::Responder => initiator,
         };
-        pending = match receiver.step(Some(&msg))? {
-            StepOutput::Send(reply) => Some(reply),
-            StepOutput::Wait | StepOutput::Established => None,
-        };
+        pending = receiver.step(Some(&msg))?.into_message();
         sender = sender.peer();
     }
 
@@ -200,36 +159,29 @@ mod tests {
     }
 
     impl Endpoint for PingPong {
-        fn id(&self) -> DeviceId {
-            DeviceId::from_label(self.role.prefix())
-        }
-        fn role(&self) -> Role {
-            self.role
-        }
-        fn start(&mut self) -> Result<Option<Message>, ProtocolError> {
-            self.trace
-                .record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 1 });
-            Ok(Some(Message::new(
-                "A1",
-                vec![WireField::new(FieldKind::Ack, vec![1])],
-            )))
-        }
-        fn on_message(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-            if self.hang {
+        fn step(&mut self, incoming: Option<&Message>) -> Result<StepOutput, ProtocolError> {
+            match (self.role, incoming) {
                 // Echo forever: never establishes.
-                return Ok(Some(msg.clone()));
-            }
-            match self.role {
-                Role::Responder => {
+                (_, Some(msg)) if self.hang => Ok(StepOutput::Send(msg.clone())),
+                (Role::Initiator, None) => {
+                    self.trace
+                        .record(StsPhase::Other, PrimitiveOp::RandomBytes { bytes: 1 });
+                    Ok(StepOutput::Send(Message::new(
+                        "A1",
+                        vec![WireField::new(FieldKind::Ack, vec![1])],
+                    )))
+                }
+                (Role::Responder, None) => Ok(StepOutput::Wait),
+                (Role::Responder, Some(_)) => {
                     self.established = true;
-                    Ok(Some(Message::new(
+                    Ok(StepOutput::Send(Message::new(
                         "B1",
                         vec![WireField::new(FieldKind::Ack, vec![2])],
                     )))
                 }
-                Role::Initiator => {
+                (Role::Initiator, Some(_)) => {
                     self.established = true;
-                    Ok(None)
+                    Ok(StepOutput::Established)
                 }
             }
         }
@@ -269,9 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn step_machine_mirrors_callback_interface() {
+    fn step_machine_sends_then_establishes() {
         let mut a = PingPong::new(Role::Initiator, false);
         let mut b = PingPong::new(Role::Responder, false);
+        // A responder has nothing to open with.
+        assert_eq!(b.step(None).unwrap(), StepOutput::Wait);
         // Kickoff: the initiator's first step takes no message.
         let StepOutput::Send(a1) = a.step(None).unwrap() else {
             panic!("initiator must open with a message");
@@ -290,7 +244,5 @@ mod tests {
     fn role_helpers() {
         assert_eq!(Role::Initiator.peer(), Role::Responder);
         assert_eq!(Role::Responder.peer(), Role::Initiator);
-        assert_eq!(Role::Initiator.prefix(), "A");
-        assert_eq!(Role::Responder.prefix(), "B");
     }
 }

@@ -8,12 +8,11 @@
 //! * [`trace`] — the primitive-operation trace that the device cost
 //!   model (`ecq-devices`) integrates into Table I timings,
 //! * [`session`] — session key material and the KDF chain of eq. (4),
-//! * [`endpoint`] — the two-party state-machine abstraction (poll-style
-//!   [`endpoint::Endpoint::step`]) and the run-to-completion driver
-//!   that produces [`transcript::Transcript`]s,
-//! * [`transport`] — the message-granularity private link
-//!   ([`transport::ChannelTransport`]) and the per-direction delivery
-//!   queues it shares with the CAN-FD bus model,
+//! * [`endpoint`] — the two-party state machine, advanced one wire
+//!   message at a time through its single interface
+//!   [`endpoint::Endpoint::step`], and the run-to-completion loop
+//!   [`endpoint::run_handshake`] that produces
+//!   [`transcript::Transcript`]s,
 //! * [`framing`] — the versioned, length-prefixed service wire format
 //!   (magic, protocol version, cryptosystem identifier) with a total
 //!   fail-closed decoder,
@@ -32,7 +31,6 @@ pub mod session;
 pub mod socket;
 pub mod trace;
 pub mod transcript;
-pub mod transport;
 pub mod wire;
 
 pub use credentials::Credentials;
@@ -42,7 +40,6 @@ pub use framing::{Frame, FrameKind};
 pub use session::SessionKey;
 pub use trace::{OpTrace, PrimitiveOp, StsPhase};
 pub use transcript::Transcript;
-pub use transport::{ChannelTransport, DirectionalQueues, TransportTime};
 pub use wire::{FieldKind, Message, WireField};
 
 /// The seven protocol variants evaluated in the paper (Tables I–III).

@@ -63,12 +63,25 @@ impl SessionKey {
         nonce[0] = direction;
         aes128_ctr_apply(&self.enc_key(), &nonce, data);
     }
+
+    /// Wipes the key held in `slot` in place, then empties the slot.
+    ///
+    /// `SessionKey` is `Copy` and has no `Drop`, so clearing the
+    /// `Option` alone would leave the key bytes resident. Every
+    /// endpoint's failure path and the STS endpoints' `Drop` go through
+    /// here.
+    pub fn wipe_slot(slot: &mut Option<SessionKey>) {
+        if let Some(key) = slot.as_mut() {
+            key.zeroize();
+        }
+        *slot = None;
+    }
 }
 
 impl Zeroize for SessionKey {
     /// Wipes the key bytes (volatile stores; see
-    /// [`ecq_crypto::zeroize`]). The STS endpoints and
-    /// `SessionManager` call this when their state drops.
+    /// [`ecq_crypto::zeroize`]). [`SessionKey::wipe_slot`], the STS
+    /// endpoints and `SessionManager` call this when their state drops.
     fn zeroize(&mut self) {
         self.bytes.zeroize();
     }
@@ -112,6 +125,15 @@ mod tests {
         let dbg = format!("{k:?}");
         assert!(!dbg.contains("abab"));
         assert!(dbg.contains("fp:"));
+    }
+
+    #[test]
+    fn wipe_slot_empties_the_slot() {
+        let mut slot = Some(SessionKey::from_bytes([0xab; 32]));
+        SessionKey::wipe_slot(&mut slot);
+        assert!(slot.is_none());
+        SessionKey::wipe_slot(&mut slot);
+        assert!(slot.is_none());
     }
 
     #[test]

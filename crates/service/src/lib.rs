@@ -45,7 +45,9 @@ pub use stream::ServiceStream;
 
 use ecq_sts::StsVariant;
 
-/// Wire code of an STS variant inside [`ecq_proto::Frame::HsOpen`].
+/// Wire code of an STS variant inside [`ecq_proto::Frame::HsOpen`]:
+/// its position in [`StsVariant::ALL`]. Spelled out as an exhaustive
+/// match so a new variant cannot silently reuse another's code.
 pub fn variant_code(variant: StsVariant) -> u8 {
     match variant {
         StsVariant::Conventional => 0,
@@ -57,12 +59,7 @@ pub fn variant_code(variant: StsVariant) -> u8 {
 /// Decodes an STS variant wire code; `None` for unknown codes (the
 /// daemon refuses the handshake rather than guessing a schedule).
 pub fn variant_from_code(code: u8) -> Option<StsVariant> {
-    match code {
-        0 => Some(StsVariant::Conventional),
-        1 => Some(StsVariant::OptimizationI),
-        2 => Some(StsVariant::OptimizationII),
-        _ => None,
-    }
+    StsVariant::ALL.get(usize::from(code)).copied()
 }
 
 #[cfg(test)]
@@ -71,6 +68,16 @@ mod tests {
 
     #[test]
     fn variant_codes_roundtrip() {
+        // The wire codes themselves: the golden `hs_open` fixture pins
+        // only the raw byte, so the mapping is pinned here.
+        for (code, v) in [
+            (0, StsVariant::Conventional),
+            (1, StsVariant::OptimizationI),
+            (2, StsVariant::OptimizationII),
+        ] {
+            assert_eq!(variant_code(v), code);
+            assert_eq!(variant_from_code(code), Some(v));
+        }
         for v in StsVariant::ALL {
             assert_eq!(variant_from_code(variant_code(v)), Some(v));
         }

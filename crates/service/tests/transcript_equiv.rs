@@ -1,24 +1,27 @@
-//! Socket transcripts are byte-identical to channel transcripts.
+//! Socket transcripts are byte-identical to in-memory transcripts.
 //!
 //! The socket path changes the transport, nothing else: for the same
 //! (credentials, config, seeds), every handshake message that crosses
-//! the loopback daemon must encode to exactly the bytes the same
-//! session produces over an in-memory [`ChannelTransport`]. This is
-//! the property that lets wall-clock service benchmarks stand in for
-//! simulator runs byte-for-byte.
+//! the loopback daemon must encode to exactly the bytes
+//! [`ecq_sts::establish`] logs when it runs the same session in memory
+//! through `run_handshake`. This is the property that lets wall-clock
+//! service benchmarks stand in for simulator runs byte-for-byte.
 
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::DeviceId;
 use ecq_crypto::HmacDrbg;
-use ecq_proto::{ChannelTransport, Credentials, Endpoint, Message, Role, SessionKey, StepOutput};
+use ecq_proto::{Credentials, Message, SessionKey};
 use ecq_service::{ServiceAddr, ServiceClient, ServiceConfig, ServiceDaemon};
-use ecq_sts::{StsConfig, StsInitiator, StsResponder, StsVariant};
+use ecq_sts::{establish, StsConfig, StsVariant};
 use proptest::prelude::*;
 
 struct Setup {
     ca: CertificateAuthority,
     initiator: Credentials,
     responder: Credentials,
+    /// The DRBG both session seeds are drawn from, before the draws:
+    /// [`establish`] forks its endpoints off it in the same order.
+    wire_rng: HmacDrbg,
     seed_a: [u8; 32],
     seed_b: [u8; 32],
 }
@@ -32,54 +35,41 @@ fn setup(seed: u64) -> Setup {
         Credentials::provision(&ca, DeviceId::from_label("alice"), 0, 1000, &mut rng).unwrap();
     let responder =
         Credentials::provision(&ca, DeviceId::from_label("bob"), 0, 1000, &mut rng).unwrap();
+    let wire_rng = rng.clone();
     let seed_a = rng.bytes32();
     let seed_b = rng.bytes32();
     Setup {
         ca,
         initiator,
         responder,
+        wire_rng,
         seed_a,
         seed_b,
     }
 }
 
-/// The reference run: same endpoints, same seed-derived RNG streams,
-/// driven message-by-message over an in-memory channel transport.
-fn channel_transcript(setup: &Setup, config: StsConfig) -> (SessionKey, Vec<Message>) {
-    let mut rng_a = HmacDrbg::new(&setup.seed_a, b"sts-initiator");
-    let mut rng_b = HmacDrbg::new(&setup.seed_b, b"sts-responder");
-    let mut alice = StsInitiator::new(setup.initiator.clone(), config, &mut rng_a);
-    let mut bob = StsResponder::new(setup.responder.clone(), config, &mut rng_b);
-    let mut link = ChannelTransport::new(0);
-    let mut messages = Vec::new();
-
-    let opening = match alice.step(None).unwrap() {
-        StepOutput::Send(message) => message,
-        other => panic!("initiator must open with a send, got {other:?}"),
-    };
-    messages.push(opening.clone());
-    link.send_frame(Role::Initiator, opening, 0);
-
-    let mut receiver = Role::Responder;
-    for _ in 0..16 {
-        if alice.is_established() && bob.is_established() {
-            break;
-        }
-        let message = link.recv_frame(receiver, 0).expect("message due");
-        let endpoint: &mut dyn Endpoint = match receiver {
-            Role::Initiator => &mut alice,
-            Role::Responder => &mut bob,
-        };
-        if let StepOutput::Send(reply) = endpoint.step(Some(&message)).unwrap() {
-            messages.push(reply.clone());
-            link.send_frame(receiver, reply, 0);
-        }
-        receiver = receiver.peer();
-    }
-    assert!(alice.is_established() && bob.is_established());
-    let key = alice.session_key().unwrap();
-    assert_eq!(key, bob.session_key().unwrap());
-    (key, messages)
+/// The reference run: the same endpoints on the same seed-derived RNG
+/// streams, driven to completion in memory. Returns the key and the
+/// step label and encoded bytes of every message.
+fn memory_transcript(
+    setup: &Setup,
+    config: StsConfig,
+) -> (SessionKey, Vec<(&'static str, Vec<u8>)>) {
+    let outcome = establish(
+        &setup.initiator,
+        &setup.responder,
+        &config,
+        &mut setup.wire_rng.clone(),
+    )
+    .unwrap();
+    assert_eq!(outcome.initiator_key, outcome.responder_key);
+    let messages = outcome
+        .transcript
+        .messages()
+        .iter()
+        .map(|m| (m.step, m.bytes.clone()))
+        .collect();
+    (outcome.initiator_key, messages)
 }
 
 fn socket_transcript(setup: &Setup, config: StsConfig) -> (SessionKey, Vec<Message>) {
@@ -111,26 +101,24 @@ fn socket_transcript(setup: &Setup, config: StsConfig) -> (SessionKey, Vec<Messa
 fn assert_byte_identical(seed: u64, variant: StsVariant, now: u32) {
     let setup = setup(seed);
     let config = StsConfig { now, variant };
-    let (channel_key, channel_messages) = channel_transcript(&setup, config);
+    let (memory_key, memory_messages) = memory_transcript(&setup, config);
     let (socket_key, socket_messages) = socket_transcript(&setup, config);
 
-    assert_eq!(socket_key, channel_key, "session keys diverge");
+    assert_eq!(socket_key, memory_key, "session keys diverge");
     assert_eq!(
         socket_messages.len(),
-        channel_messages.len(),
+        memory_messages.len(),
         "message counts diverge"
     );
-    for (index, (socket, channel)) in socket_messages
-        .iter()
-        .zip(channel_messages.iter())
-        .enumerate()
+    for (index, (socket, (memory_step, memory_bytes))) in
+        socket_messages.iter().zip(&memory_messages).enumerate()
     {
-        assert_eq!(socket.step, channel.step, "step order diverges at {index}");
+        assert_eq!(socket.step, *memory_step, "step order diverges at {index}");
         assert_eq!(
-            socket.encode(),
-            channel.encode(),
+            &socket.encode(),
+            memory_bytes,
             "message {index} ({}) bytes diverge",
-            channel.step
+            socket.step
         );
     }
 }
@@ -144,7 +132,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// For ANY master seed, variant and clock, the loopback-socket
-    /// handshake transcript is byte-identical to the channel-transport
+    /// handshake transcript is byte-identical to the in-memory
     /// transcript of the same inputs, and both derive the same key.
     #[test]
     fn socket_transcript_is_byte_identical_to_channel(

@@ -21,7 +21,8 @@
 //!   reconstruction and a pinned frame-schedule log,
 //! * [`transport`] — one handshake's private point-to-point link: a
 //!   one-slot bus with per-frame driver overhead from the two boards'
-//!   cost tables.
+//!   cost tables, and the per-direction FIFO queues through which every
+//!   slot hands reassembled messages to its endpoints' `step`.
 //!
 //! The headline check reproduced by the tests and the Fig. 7 bench: a
 //! full handshake message (≤ 245 B) crosses the bus in ~1 ms — "the

@@ -36,20 +36,13 @@ use crate::app::AppMessage;
 use crate::canfd::{BitTiming, CanFdFrame, MAX_PAYLOAD};
 use crate::fault::{FaultAction, FaultPlan, FrameFate};
 use crate::isotp::{flow_control_frame, segment, IsoTpConfig, Reassembler};
+use crate::transport::{role_index, DirectionalQueues, TransportTime};
 use crate::SimNanos;
-use ecq_proto::transport::{DirectionalQueues, TransportTime};
 use ecq_proto::{FieldKind, Message, Role};
 use std::collections::BTreeMap;
 
 /// Marks the replayed copy of a message in the pending-message keyspace.
 const REPLAY_BIT: u64 = 1 << 63;
-
-fn role_index(role: Role) -> usize {
-    match role {
-        Role::Initiator => 0,
-        Role::Responder => 1,
-    }
-}
 
 /// A delivery that became due during [`SharedBus::process`]: the typed
 /// message is queued on the slot's receive queue and can be read with
@@ -123,9 +116,8 @@ impl std::ops::AddAssign for FaultCounters {
     }
 }
 
-/// Per-slot traffic totals (the counters of a private
-/// [`ChannelTransport`](ecq_proto::transport::ChannelTransport), kept
-/// per session here, plus the CAN-FD frames a channel never moves).
+/// Per-slot traffic totals: one session's typed messages, their
+/// payload bytes and the CAN-FD frames that carried them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlotStats {
     /// Typed messages submitted by the session's endpoints.
@@ -278,7 +270,7 @@ impl SharedBus {
             pending_typed: [BTreeMap::new(), BTreeMap::new()],
             current_key: [None, None],
             msg_seq: [0, 0],
-            queues: DirectionalQueues::new(),
+            queues: DirectionalQueues::default(),
             stats: SlotStats::default(),
             delivered: 0,
         });

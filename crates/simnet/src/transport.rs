@@ -9,12 +9,31 @@
 //! paper's point stands: transfer time is negligible against the EC
 //! arithmetic).
 //!
+//! Each slot hands reassembled messages to its endpoints through
+//! `DirectionalQueues`, which keep the link contract every sweep
+//! relies on:
+//!
+//! 1. **Determinism** — delivery times are a pure function of the
+//!    submitted messages and their timestamps; no wall clock, no
+//!    randomness.
+//! 2. **FIFO per direction** — messages from one role arrive in the
+//!    order they were sent (a CAN link cannot reorder one sender's
+//!    ISO-TP messages).
+//! 3. **Positive progress** — a delivery is never due earlier than the
+//!    time it was queued for, so an event scheduler driving the bus
+//!    always advances.
+//!
 //! The tests below pin the link-level claims: a full handshake message
 //! crosses in ~1 ms, the two directions share the medium, board overhead
 //! slows delivery and delivery stays FIFO per direction.
 
 use crate::{ms_to_ns, SimNanos};
 use ecq_devices::DeviceProfile;
+use ecq_proto::{Message, Role};
+use std::collections::VecDeque;
+
+/// Virtual time in microseconds (the fleet scheduler's clock).
+pub type TransportTime = u64;
 
 /// Per-frame driver overhead of the two endpoints, ns, indexed
 /// `[initiator, responder]` as
@@ -26,13 +45,66 @@ pub fn pair_overheads(initiator: &DeviceProfile, responder: &DeviceProfile) -> [
     ]
 }
 
+/// One bus slot's per-direction FIFO delivery queues. `push` clamps
+/// each delivery to no earlier than the last one queued toward the same
+/// receiver, so the FIFO-per-direction contract holds by construction
+/// even when the latency model would otherwise let a small late message
+/// overtake a large earlier one.
+#[derive(Debug, Default)]
+pub(crate) struct DirectionalQueues {
+    to_initiator: VecDeque<(TransportTime, Message)>,
+    to_responder: VecDeque<(TransportTime, Message)>,
+    /// Last queued delivery time per receiver (`[initiator, responder]`).
+    floor: [TransportTime; 2],
+}
+
+/// `[initiator, responder]` array index of a role.
+pub(crate) fn role_index(role: Role) -> usize {
+    match role {
+        Role::Initiator => 0,
+        Role::Responder => 1,
+    }
+}
+
+impl DirectionalQueues {
+    fn queue_mut(&mut self, receiver: Role) -> &mut VecDeque<(TransportTime, Message)> {
+        match receiver {
+            Role::Initiator => &mut self.to_initiator,
+            Role::Responder => &mut self.to_responder,
+        }
+    }
+
+    /// Queues a delivery toward `receiver`; returns the effective
+    /// delivery time (clamped so one direction never reorders).
+    pub(crate) fn push(
+        &mut self,
+        receiver: Role,
+        at: TransportTime,
+        message: Message,
+    ) -> TransportTime {
+        let idx = role_index(receiver);
+        let at = at.max(self.floor[idx]);
+        self.floor[idx] = at;
+        self.queue_mut(receiver).push_back((at, message));
+        at
+    }
+
+    /// Pops the earliest message for `receiver` that is due by `now`.
+    pub(crate) fn pop_due(&mut self, receiver: Role, now: TransportTime) -> Option<Message> {
+        let queue = self.queue_mut(receiver);
+        match queue.front() {
+            Some((at, _)) if *at <= now => queue.pop_front().map(|(_, m)| m),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{DeliveryDue, FaultPlan, SharedBus};
     use ecq_devices::DevicePreset;
-    use ecq_proto::transport::TransportTime;
-    use ecq_proto::{FieldKind, Message, Role, WireField};
+    use ecq_proto::{FieldKind, WireField};
 
     fn sts_b1() -> Message {
         // The largest STS handshake message (245 B, Table II).
@@ -133,5 +205,52 @@ mod tests {
         let at = due[1].at_us;
         assert_eq!(bus.recv(0, Role::Responder, at).unwrap().step, "B1");
         assert_eq!(bus.recv(0, Role::Responder, at).unwrap().step, "B2");
+    }
+
+    fn msg(step: &'static str, byte: u8) -> Message {
+        Message::new(step, vec![WireField::new(FieldKind::Ack, vec![byte])])
+    }
+
+    #[test]
+    fn latency_defers_delivery() {
+        // A message queued for 350 µs is not due at 349 and is due at 350.
+        let mut q = DirectionalQueues::default();
+        assert_eq!(q.push(Role::Responder, 350, msg("A1", 1)), 350);
+        assert!(q.pop_due(Role::Responder, 349).is_none());
+        assert_eq!(q.pop_due(Role::Responder, 350).unwrap().step, "A1");
+        assert!(q.pop_due(Role::Responder, 400).is_none());
+    }
+
+    #[test]
+    fn directions_are_independent() {
+        let mut q = DirectionalQueues::default();
+        q.push(Role::Responder, 0, msg("A1", 1));
+        q.push(Role::Initiator, 0, msg("B1", 2));
+        assert_eq!(q.pop_due(Role::Initiator, 0).unwrap().step, "B1");
+        assert_eq!(q.pop_due(Role::Responder, 0).unwrap().step, "A1");
+    }
+
+    #[test]
+    fn fifo_within_a_direction() {
+        let mut q = DirectionalQueues::default();
+        q.push(Role::Responder, 10, msg("A1", 1));
+        q.push(Role::Responder, 15, msg("A2", 2));
+        assert_eq!(q.pop_due(Role::Responder, 100).unwrap().step, "A1");
+        assert_eq!(q.pop_due(Role::Responder, 100).unwrap().step, "A2");
+        assert!(q.pop_due(Role::Responder, 100).is_none());
+    }
+
+    #[test]
+    fn queues_clamp_out_of_order_deliveries() {
+        // A latency model that would let a later, smaller message
+        // overtake an earlier large one gets clamped to FIFO order.
+        let mut q = DirectionalQueues::default();
+        assert_eq!(q.push(Role::Responder, 500, msg("B1", 1)), 500);
+        assert_eq!(q.push(Role::Responder, 200, msg("B2", 2)), 500);
+        // The other direction is unaffected.
+        assert_eq!(q.push(Role::Initiator, 200, msg("A1", 3)), 200);
+        assert!(q.pop_due(Role::Responder, 499).is_none());
+        assert_eq!(q.pop_due(Role::Responder, 500).unwrap().step, "B1");
+        assert_eq!(q.pop_due(Role::Responder, 500).unwrap().step, "B2");
     }
 }

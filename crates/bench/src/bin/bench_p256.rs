@@ -1,27 +1,28 @@
 //! Primitive-level P-256 benchmark and the `BENCH_p256.json` artifact.
 //!
-//! Times every hot curve primitive on the specialized field backend
-//! and — where one exists — a retired reference implementation of the
-//! *same* operation (the generic [`ecq_p256::mont::MontCtx`] engine
-//! for field rows), so the artifact records the optimization speedup
-//! live instead of relying on numbers copied from an older commit. CI
-//! uploads the JSON next to `BENCH_fleet.json`, tracking the perf
-//! trajectory per primitive.
+//! Times the field, point and comb primitives on the specialized field
+//! backend and — where one exists — a retired reference implementation
+//! of the *same* operation (the generic [`ecq_p256::mont::MontCtx`]
+//! engine for field rows), so the artifact records the optimization
+//! speedup live instead of relying on numbers copied from an older
+//! commit. CI uploads the JSON next to `BENCH_fleet.json`, tracking the
+//! perf trajectory per primitive. The protocol-level primitives
+//! (variable-base `mul_vartime`, ECDH, ECDSA sign/verify, eq. (1)) are
+//! perfbench's `p256.*` and `cert.recon_eq1_us` rows under `--trace 1`.
 //!
 //! ```sh
 //! cargo run --release --bin bench_p256 -- --json BENCH_p256.json
 //! ```
 
-use ecq_cert::{ca::CertificateAuthority, requester::CertRequester, DeviceId};
 use ecq_crypto::HmacDrbg;
 use ecq_p256::field::{FieldElement, P_HEX};
+use ecq_p256::keys::KeyPair;
 use ecq_p256::mont::MontCtx;
 use ecq_p256::point::{
     mul_generator_ct, mul_generator_vartime, multi_scalar_mul, AffinePoint, JacobianPoint,
 };
 use ecq_p256::scalar::{Scalar, N_HEX};
 use ecq_p256::u256::U256;
-use ecq_p256::{ecdh, ecdsa, keys::KeyPair};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -67,16 +68,10 @@ fn rows() -> Vec<Row> {
     let sa = Scalar::random(&mut rng);
     let na = n_ctx.to_mont(&n_ctx.reduce(&U256::from_be_bytes(&rng.bytes32())));
 
-    let kp = KeyPair::generate(&mut rng);
     let peer = KeyPair::generate(&mut rng);
     let k = Scalar::random(&mut rng);
     let gj = JacobianPoint::from_affine(&AffinePoint::generator());
     let pj = JacobianPoint::from_affine(&peer.public);
-    let sig = ecdsa::sign(&kp.private, b"bench message");
-
-    let ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
-    let req = CertRequester::generate(DeviceId::from_label("dev"), &mut rng);
-    let issued = ca.issue(&req.request(), 0, 100, &mut rng).unwrap();
 
     let mut rows = Vec::new();
 
@@ -159,13 +154,6 @@ fn rows() -> Vec<Row> {
         reference_ns: None,
     });
     rows.push(Row {
-        name: "point_mul_vartime",
-        ns: time_ns(100, || {
-            black_box(peer.public.mul_vartime(black_box(&k)));
-        }),
-        reference_ns: None,
-    });
-    rows.push(Row {
         name: "multi_scalar_mul",
         ns: time_ns(100, || {
             black_box(multi_scalar_mul(
@@ -177,38 +165,6 @@ fn rows() -> Vec<Row> {
         }),
         reference_ns: None,
     });
-    rows.push(Row {
-        name: "ecdh",
-        ns: time_ns(100, || {
-            black_box(ecdh::shared_secret(&kp.private, black_box(&peer.public)).unwrap());
-        }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "ecdsa_sign",
-        ns: time_ns(100, || {
-            black_box(ecdsa::sign(&kp.private, black_box(b"bench message")));
-        }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "ecdsa_verify_separate",
-        ns: time_ns(100, || {
-            black_box(ecdsa::verify(&kp.public, b"bench message", &sig));
-        }),
-        reference_ns: None,
-    });
-    rows.push(Row {
-        name: "ecqv_reconstruct_eq1",
-        ns: time_ns(100, || {
-            black_box(
-                ecq_cert::reconstruct_public_key(black_box(&issued.certificate), &ca.public_key())
-                    .unwrap(),
-            );
-        }),
-        reference_ns: None,
-    });
-
     rows
 }
 

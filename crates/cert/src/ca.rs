@@ -55,7 +55,6 @@ pub struct IssuedCert {
 pub struct CertificateAuthority {
     id: DeviceId,
     keys: KeyPair,
-    next_serial: u64,
 }
 
 impl CertificateAuthority {
@@ -64,16 +63,6 @@ impl CertificateAuthority {
         CertificateAuthority {
             id,
             keys: KeyPair::generate(rng),
-            next_serial: 1,
-        }
-    }
-
-    /// Creates a CA from an existing key pair (for reproducible tests).
-    pub fn with_keys(id: DeviceId, keys: KeyPair) -> Self {
-        CertificateAuthority {
-            id,
-            keys,
-            next_serial: 1,
         }
     }
 
@@ -104,10 +93,9 @@ impl CertificateAuthority {
     /// 4. `e = H_n(Cert_U)`,
     /// 5. `r = e·k + d_CA mod n` — private reconstruction data.
     ///
-    /// This non-mutating variant draws a random 64-bit serial (unique
-    /// with overwhelming probability), so serial-based revocation
-    /// distinguishes certificates even without the stateful counter of
-    /// [`Self::issue_next`].
+    /// The serial is a random 64 bits (unique with overwhelming
+    /// probability), so serial-based revocation distinguishes
+    /// certificates without a stateful counter.
     ///
     /// # Errors
     ///
@@ -121,19 +109,6 @@ impl CertificateAuthority {
         rng: &mut HmacDrbg,
     ) -> Result<IssuedCert, CertError> {
         let serial = rng.next_u64();
-        self.issue_with_serial(request, serial, valid_from, valid_to, rng)
-    }
-
-    /// Issues with an explicit serial (the mutable-counter variant is a
-    /// convenience; gateways track serials themselves).
-    pub fn issue_with_serial(
-        &self,
-        request: &CertRequest,
-        serial: u64,
-        valid_from: u32,
-        valid_to: u32,
-        rng: &mut HmacDrbg,
-    ) -> Result<IssuedCert, CertError> {
         if request.point.infinity || !request.point.is_on_curve() {
             return Err(CertError::InvalidRequest);
         }
@@ -250,20 +225,6 @@ impl CertificateAuthority {
         }
         Ok(out)
     }
-
-    /// Issues a certificate and advances the internal serial counter.
-    pub fn issue_next(
-        &mut self,
-        request: &CertRequest,
-        valid_from: u32,
-        valid_to: u32,
-        rng: &mut HmacDrbg,
-    ) -> Result<IssuedCert, CertError> {
-        let serial = self.next_serial;
-        let issued = self.issue_with_serial(request, serial, valid_from, valid_to, rng)?;
-        self.next_serial += 1;
-        Ok(issued)
-    }
 }
 
 impl Drop for CertificateAuthority {
@@ -294,18 +255,6 @@ mod tests {
             reconstruct_public_key(&issued.certificate, &ca.public_key()).unwrap(),
             keys.public
         );
-    }
-
-    #[test]
-    fn serial_advances() {
-        let mut rng = HmacDrbg::from_seed(62);
-        let mut ca = CertificateAuthority::new(DeviceId::from_label("CA"), &mut rng);
-        let r = CertRequester::generate(DeviceId::from_label("dev"), &mut rng);
-        let c1 = ca.issue_next(&r.request(), 0, 10, &mut rng).unwrap();
-        let c2 = ca.issue_next(&r.request(), 0, 10, &mut rng).unwrap();
-        assert_eq!(c1.certificate.serial + 1, c2.certificate.serial);
-        // Fresh CA randomness ⇒ different reconstruction points.
-        assert_ne!(c1.certificate.point, c2.certificate.point);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::id::{DeviceId, ID_LEN};
 use crate::CertError;
 use ecq_p256::encoding::{decode_compressed, encode_compressed, COMPRESSED_LEN};
 use ecq_p256::point::AffinePoint;
+use std::array::TryFromSliceError;
 
 /// Total length of the minimal certificate encoding (matches the
 /// paper's `Cert(101)`).
@@ -100,12 +101,13 @@ impl ImplicitCert {
         point.copy_from_slice(&bytes[53..86]);
         let mut extensions = [0u8; EXT_LEN];
         extensions.copy_from_slice(&bytes[86..101]);
+        let bad = |_: TryFromSliceError| CertError::InvalidEncoding;
         Ok(ImplicitCert {
-            serial: u64::from_be_bytes(bytes[3..11].try_into().expect("8 bytes")),
+            serial: u64::from_be_bytes(bytes[3..11].try_into().map_err(bad)?),
             issuer: DeviceId::from_bytes(issuer),
             subject: DeviceId::from_bytes(subject),
-            valid_from: u32::from_be_bytes(bytes[43..47].try_into().expect("4 bytes")),
-            valid_to: u32::from_be_bytes(bytes[47..51].try_into().expect("4 bytes")),
+            valid_from: u32::from_be_bytes(bytes[43..47].try_into().map_err(bad)?),
+            valid_to: u32::from_be_bytes(bytes[47..51].try_into().map_err(bad)?),
             key_usage: bytes[51],
             point,
             extensions,

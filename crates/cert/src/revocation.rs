@@ -13,6 +13,7 @@
 
 use crate::certificate::ImplicitCert;
 use crate::CertError;
+use std::array::TryFromSliceError;
 use std::collections::BTreeSet;
 
 /// Magic prefix of the revocation-list wire encoding.
@@ -104,15 +105,15 @@ impl RevocationList {
         if bytes.len() < 11 || bytes[0..2] != MAGIC || bytes[2] != VERSION {
             return Err(CertError::InvalidEncoding);
         }
-        let sequence = u32::from_be_bytes(bytes[3..7].try_into().expect("4 bytes"));
-        let count = u32::from_be_bytes(bytes[7..11].try_into().expect("4 bytes")) as usize;
+        let bad = |_: TryFromSliceError| CertError::InvalidEncoding;
+        let sequence = u32::from_be_bytes(bytes[3..7].try_into().map_err(bad)?);
+        let count = u32::from_be_bytes(bytes[7..11].try_into().map_err(bad)?) as usize;
         if bytes.len() != 11 + 8 * count {
             return Err(CertError::InvalidEncoding);
         }
         let mut revoked = BTreeSet::new();
-        for i in 0..count {
-            let off = 11 + 8 * i;
-            let serial = u64::from_be_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
+        for record in bytes[11..].chunks_exact(8) {
+            let serial = u64::from_be_bytes(record.try_into().map_err(bad)?);
             if !revoked.insert(serial) {
                 return Err(CertError::InvalidEncoding);
             }

@@ -1,11 +1,12 @@
 //! Property-based tests of the ECQV certificate layer: encoding
-//! roundtrips over arbitrary metadata, tamper detection, and the
-//! reconstruction identity over random deployments.
+//! roundtrips over arbitrary metadata, tamper detection, the
+//! reconstruction identity over random deployments, and fail-closed
+//! decoding of arbitrary bytes.
 
 use ecq_cert::ca::CertificateAuthority;
 use ecq_cert::requester::CertRequester;
 use ecq_cert::{
-    cert_hash, reconstruct_public_key, CertError, DeviceId, ImplicitCert, RevocationList,
+    cert_hash, reconstruct_public_key, CertError, DeviceId, ImplicitCert, RevocationList, CERT_LEN,
 };
 use ecq_crypto::HmacDrbg;
 use ecq_p256::point::mul_generator_vartime;
@@ -177,4 +178,66 @@ proptest! {
             CertError::InvalidEncoding
         );
     }
+}
+
+proptest! {
+    // Decoding is cheap; run enough cases to cover every length shape
+    // framed and unframed many times over.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decoders_fail_closed_on_byte_soup(
+        soup in proptest::collection::vec(any::<u8>(), 200..=200),
+        shape in 0u8..3,
+        len_pick in 0usize..=200,
+        framed in any::<bool>(),
+    ) {
+        // Three length shapes: anything in 0..=200, exactly CERT_LEN,
+        // or a well-formed CRL length 11 + 8k. `framed` stamps a valid
+        // header (and, for a CRL, a matching count) so the soup gets
+        // past the magic checks into the fixed-width field reads.
+        let crl_records = len_pick % 24;
+        let len = match shape {
+            0 => len_pick,
+            1 => CERT_LEN,
+            _ => 11 + 8 * crl_records,
+        };
+        let mut cert_bytes = soup[..len].to_vec();
+        let mut crl_bytes = cert_bytes.clone();
+        if framed {
+            let cert_header = canonical_cert_bytes();
+            let n = len.min(3);
+            cert_bytes[..n].copy_from_slice(&cert_header[..n]);
+            if len > 52 {
+                cert_bytes[52] = cert_header[52];
+            }
+            let crl_header = RevocationList::new().to_bytes();
+            crl_bytes[..n].copy_from_slice(&crl_header[..n]);
+            if len >= 11 {
+                crl_bytes[7..11].copy_from_slice(&(((len - 11) / 8) as u32).to_be_bytes());
+            }
+        }
+        match ImplicitCert::from_bytes(&cert_bytes) {
+            Ok(cert) => prop_assert_eq!(&cert.to_bytes()[..], &cert_bytes[..]),
+            Err(e) => prop_assert_eq!(e, CertError::InvalidEncoding),
+        }
+        match RevocationList::from_bytes(&crl_bytes) {
+            Ok(crl) => prop_assert_eq!(crl.len(), (len - 11) / 8),
+            Err(e) => prop_assert_eq!(e, CertError::InvalidEncoding),
+        }
+    }
+}
+
+/// A canonical certificate encoding: its bytes 0..3 and 52 are the
+/// header fields `ImplicitCert::from_bytes` checks.
+fn canonical_cert_bytes() -> [u8; CERT_LEN] {
+    ImplicitCert::new(
+        0,
+        DeviceId::from_label("CA"),
+        DeviceId::from_label("dev"),
+        0,
+        0,
+        &mul_generator_vartime(&Scalar::from_u64(1)),
+    )
+    .to_bytes()
 }

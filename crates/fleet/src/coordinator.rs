@@ -559,11 +559,6 @@ impl FleetCoordinator {
         }
     }
 
-    /// The coordinator's revocation list.
-    pub fn revocation_list(&self) -> &RevocationList {
-        &self.crl
-    }
-
     /// Mutable access to the revocation list, for revoking by serial
     /// before a [`Self::streaming_sweep`] (whose roster never holds the
     /// credentials [`Self::revoke_device`] would look up).

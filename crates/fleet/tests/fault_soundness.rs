@@ -104,7 +104,7 @@ proptest! {
     }
 }
 
-/// Acceptance criterion: shared-bus sweeps stay bit-identical for
+/// Acceptance check: shared-bus sweeps stay bit-identical for
 /// 1/2/8 worker threads *with faults enabled* (8 buses, so all three
 /// thread counts genuinely shard differently).
 #[test]

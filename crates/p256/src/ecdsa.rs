@@ -2,17 +2,16 @@
 //!
 //! This is the authentication primitive of both the paper's STS design
 //! (Algorithms 1 and 2) and the static S-ECDSA baseline. Signing is
-//! deterministic (RFC 6979) by default — reproducible simulation — with
-//! an optional randomized mode. Verification runs two separate scalar
-//! multiplications, as micro-ecc does: the fixed-base comb for `u1·G`
-//! and the wNAF ladder for `u2·Q` (see [`verify_prehashed`]).
+//! deterministic (RFC 6979) — reproducible simulation. Verification
+//! runs two separate scalar multiplications, as micro-ecc does: the
+//! fixed-base comb for `u1·G` and the wNAF ladder for `u2·Q` (see
+//! [`verify_prehashed`]).
 
 use crate::point::{mul_generator_ct, mul_generator_vartime_jacobian, AffinePoint, JacobianPoint};
 use crate::rfc6979;
 use crate::scalar::Scalar;
 use crate::CurveError;
 use ecq_crypto::sha256::sha256;
-use ecq_crypto::HmacDrbg;
 
 /// A raw `r ‖ s` ECDSA signature (the paper's `Sign(64)` / `dsign`).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -66,10 +65,6 @@ impl Signature {
     }
 }
 
-fn hash_to_scalar(msg: &[u8]) -> Scalar {
-    Scalar::from_be_bytes_reduced(&sha256(msg))
-}
-
 /// Signs `msg` (hashed internally with SHA-256) with deterministic
 /// RFC 6979 nonces. Produces a low-s normalized signature.
 pub fn sign(private: &Scalar, msg: &[u8]) -> Signature {
@@ -87,17 +82,6 @@ pub fn sign_prehashed(private: &Scalar, hash: &[u8; 32]) -> Signature {
         }
         // Astronomically unlikely; perturb k deterministically.
         k = k.add(&Scalar::one());
-    }
-}
-
-/// Signs with a randomized nonce drawn from `rng`.
-pub fn sign_randomized(private: &Scalar, msg: &[u8], rng: &mut HmacDrbg) -> Signature {
-    let e = hash_to_scalar(msg);
-    loop {
-        let k = Scalar::random(rng);
-        if let Some(sig) = sign_with_k(private, &e, &k) {
-            return sig;
-        }
     }
 }
 
@@ -157,6 +141,11 @@ mod tests {
     use crate::field::FieldElement;
     use crate::keys::KeyPair;
     use crate::u256::U256;
+    use ecq_crypto::HmacDrbg;
+
+    fn hash_to_scalar(msg: &[u8]) -> Scalar {
+        Scalar::from_be_bytes_reduced(&sha256(msg))
+    }
 
     fn rfc6979_key() -> Scalar {
         Scalar::from_canonical(&U256::from_be_hex(
@@ -254,23 +243,15 @@ mod tests {
     }
 
     #[test]
-    fn randomized_signatures_differ_but_verify() {
-        let mut rng = HmacDrbg::from_seed(44);
-        let kp = KeyPair::generate(&mut rng);
-        let s1 = sign_randomized(&kp.private, b"m", &mut rng);
-        let s2 = sign_randomized(&kp.private, b"m", &mut rng);
-        assert_ne!(s1.to_bytes(), s2.to_bytes());
-        assert!(verify(&kp.public, b"m", &s1));
-        assert!(verify(&kp.public, b"m", &s2));
-    }
-
-    #[test]
     fn low_s_normalization() {
         let mut rng = HmacDrbg::from_seed(45);
         for _ in 0..4 {
             let kp = KeyPair::generate(&mut rng);
-            let sig = sign_randomized(&kp.private, b"normalize", &mut rng);
-            assert!(!sig.s.is_high());
+            for msg in [&b"normalize"[..], b"m", b"low-s", b""] {
+                let sig = sign(&kp.private, msg);
+                assert!(!sig.s.is_high());
+                assert!(verify(&kp.public, msg, &sig));
+            }
         }
     }
 

@@ -277,11 +277,6 @@ impl SharedBus {
         slot
     }
 
-    /// Number of registered slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     fn alloc_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;

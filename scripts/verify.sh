@@ -143,7 +143,8 @@ run_scenario() {
 
 run_service() {
   # Real-socket service mode: the wire-format fuzz gate, the
-  # socket-vs-channel transcript equality proptest, the full
+  # socket-vs-in-memory (`ecq_sts::establish`) transcript equality
+  # proptest, the full
   # client/daemon integration suite, and a loopback load smoke with
   # >= 1000 concurrent connections (BENCH_service.json artifact).
   echo "==> wire-format decoder fuzz + golden frame fixtures"

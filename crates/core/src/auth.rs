@@ -66,30 +66,21 @@ pub fn auth_response(
     resp
 }
 
-/// A cached eq. (1) evaluation: an implicit certificate together with
-/// the public key reconstructed from it under a specific CA key.
+/// One eq. (1) evaluation: the public key reconstructed from an
+/// implicit certificate under a CA key.
 ///
-/// Reconstruction is a pure function of `(Cert_X, Q_CA)`, so a hint
-/// computed once per *certificate* session (e.g. when a
-/// [`crate::SessionManager`] first establishes) lets every later rekey
-/// handshake of the same pair skip the double-scalar ladder — the
-/// dominant cost of Algorithm 2 after the ECDSA verify itself.
-///
-/// Soundness: the fields are private and [`Self::compute`] is the only
-/// constructor, so a hint always holds the genuine reconstruction for
-/// the certificate it carries. [`verify_response_hinted`] compares the
-/// hint's certificate against the certificate received on the wire and
-/// falls back to a fresh reconstruction on any mismatch — a stale or
-/// misrouted hint can cost time, never authentication soundness.
+/// Nothing in the handshake consumes it: [`verify_response`] evaluates
+/// eq. (1) afresh under the verifier's own CA key on every call. It is
+/// kept only because perfbench's `cert.recon_eq1_us` row times eq. (1)
+/// through [`Self::compute`].
 #[derive(Clone, Copy, Debug)]
 pub struct ReconstructionHint {
-    cert: ImplicitCert,
-    public: AffinePoint,
+    /// `Q_X`, the reconstructed public key.
+    pub public: AffinePoint,
 }
 
 impl ReconstructionHint {
-    /// Evaluates eq. (1) for `cert` under `ca_public` and caches the
-    /// result.
+    /// Evaluates eq. (1) for `cert` under `ca_public`.
     ///
     /// # Errors
     ///
@@ -97,15 +88,8 @@ impl ReconstructionHint {
     /// derived key is invalid.
     pub fn compute(cert: &ImplicitCert, ca_public: &AffinePoint) -> Result<Self, CertError> {
         Ok(ReconstructionHint {
-            cert: *cert,
             public: reconstruct_public_key(cert, ca_public)?,
         })
-    }
-
-    /// The cached public key, if the hint was computed for exactly
-    /// `cert`.
-    fn lookup(&self, cert: &ImplicitCert) -> Option<AffinePoint> {
-        (self.cert == *cert).then_some(self.public)
     }
 }
 
@@ -128,33 +112,6 @@ pub fn verify_response(
     direction: u8,
     trace: &mut OpTrace,
 ) -> Result<(), ProtocolError> {
-    verify_response_hinted(
-        ks, resp, peer_cert, ca_public, xg_peer, xg_own, direction, trace, None,
-    )
-}
-
-/// [`verify_response`] with an optional cached eq. (1) result.
-///
-/// When `hint` matches `peer_cert` the public-key reconstruction (and
-/// its trace record) is skipped; any mismatch falls back to the full
-/// reconstruction, so a wrong hint only costs the time it was meant to
-/// save.
-///
-/// # Errors
-///
-/// As [`verify_response`].
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's explicit inputs
-pub fn verify_response_hinted(
-    ks: &SessionKey,
-    resp: &[u8],
-    peer_cert: &ImplicitCert,
-    ca_public: &AffinePoint,
-    xg_peer: &[u8; 64],
-    xg_own: &[u8; 64],
-    direction: u8,
-    trace: &mut OpTrace,
-    hint: Option<&ReconstructionHint>,
-) -> Result<(), ProtocolError> {
     if resp.len() != RESP_LEN {
         return Err(ProtocolError::Decode);
     }
@@ -170,18 +127,12 @@ pub fn verify_response_hinted(
 
     let sig = Signature::from_bytes(&dsign).map_err(|_| ProtocolError::AuthenticationFailed)?;
 
-    // eq. (1): Q_X = Hash(Cert_X)·Decode(Cert_X) + Q_CA — or the
-    // cached evaluation when the hint carries this exact certificate.
-    let q_x = match hint.and_then(|h| h.lookup(peer_cert)) {
-        Some(q) => q,
-        None => {
-            trace.record(
-                StsPhase::Op2KeyDerivation,
-                PrimitiveOp::PublicKeyReconstruction,
-            );
-            reconstruct_public_key(peer_cert, ca_public)?
-        }
-    };
+    // eq. (1): Q_X = Hash(Cert_X)·Decode(Cert_X) + Q_CA.
+    trace.record(
+        StsPhase::Op2KeyDerivation,
+        PrimitiveOp::PublicKeyReconstruction,
+    );
+    let q_x = reconstruct_public_key(peer_cert, ca_public)?;
 
     let mut msg = [0u8; 128];
     msg[..64].copy_from_slice(xg_peer);

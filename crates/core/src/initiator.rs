@@ -1,8 +1,6 @@
 //! The STS initiator (ALICE in the paper's Fig. 2).
 
-use crate::auth::{
-    auth_response, verify_response_hinted, ReconstructionHint, DIR_INITIATOR, DIR_RESPONDER,
-};
+use crate::auth::{auth_response, verify_response, DIR_INITIATOR, DIR_RESPONDER};
 use crate::{StsConfig, KDF_LABEL};
 use ecq_cert::ImplicitCert;
 use ecq_crypto::zeroize::Zeroize;
@@ -32,7 +30,6 @@ pub struct StsInitiator {
     config: StsConfig,
     ephemeral: KeyPair,
     xg_own: [u8; 64],
-    peer_hint: Option<ReconstructionHint>,
     session: Option<SessionKey>,
     state: State,
     trace: OpTrace,
@@ -53,22 +50,10 @@ impl StsInitiator {
             config,
             ephemeral,
             xg_own,
-            peer_hint: None,
             session: None,
             state: State::Start,
             trace,
         }
-    }
-
-    /// Installs a cached eq. (1) evaluation for the expected peer.
-    ///
-    /// When the responder's certificate matches the hint, the Op2
-    /// public-key reconstruction is skipped (and not traced); a
-    /// mismatched hint silently falls back to the full reconstruction.
-    #[must_use]
-    pub fn with_peer_hint(mut self, hint: ReconstructionHint) -> Self {
-        self.peer_hint = Some(hint);
-        self
     }
 
     fn check_peer_cert(&self, cert: &ImplicitCert, claimed: &[u8]) -> Result<(), ProtocolError> {
@@ -104,9 +89,8 @@ impl StsInitiator {
         // scope; only the derived session key survives.
         let ks = SessionKey::derive(premaster.as_slice(), &salt, KDF_LABEL);
 
-        // Op4 (+ the Op2 public-key reconstruction inside, unless a
-        // matching hint already carries it).
-        verify_response_hinted(
+        // Op4 (+ the Op2 public-key reconstruction inside).
+        verify_response(
             &ks,
             resp_b,
             &cert_b,
@@ -115,7 +99,6 @@ impl StsInitiator {
             &self.xg_own,
             DIR_RESPONDER,
             &mut self.trace,
-            self.peer_hint.as_ref(),
         )?;
 
         // Op3: our own authentication response.

@@ -133,35 +133,7 @@ pub fn establish(
     config: &StsConfig,
     rng: &mut HmacDrbg,
 ) -> Result<SessionOutcome, ProtocolError> {
-    establish_hinted(initiator, responder, config, rng, None, None)
-}
-
-/// [`establish`] with optional cached eq. (1) evaluations for each
-/// side's *peer* certificate: `initiator_hint` covers the responder's
-/// certificate and vice versa. Hints skip the per-handshake public-key
-/// reconstruction — the win [`SessionManager`] exploits on rekeys,
-/// where the same pair of certificates recurs for the session's whole
-/// lifetime. Wire bytes and derived keys are identical with or without
-/// hints; a mismatched hint falls back to a fresh reconstruction.
-///
-/// # Errors
-///
-/// As [`establish`].
-pub fn establish_hinted(
-    initiator: &Credentials,
-    responder: &Credentials,
-    config: &StsConfig,
-    rng: &mut HmacDrbg,
-    initiator_hint: Option<&ReconstructionHint>,
-    responder_hint: Option<&ReconstructionHint>,
-) -> Result<SessionOutcome, ProtocolError> {
     let (mut alice, mut bob) = endpoint_pair(initiator.clone(), responder.clone(), config, rng);
-    if let Some(hint) = initiator_hint {
-        alice = alice.with_peer_hint(*hint);
-    }
-    if let Some(hint) = responder_hint {
-        bob = bob.with_peer_hint(*hint);
-    }
     let transcript = run_handshake(&mut alice, &mut bob)?;
     Ok(SessionOutcome {
         initiator_key: alice.session_key()?,
@@ -216,40 +188,6 @@ mod tests {
         assert_eq!(msgs[2].wire_len, 165); // A2: Cert+Resp
         assert_eq!(msgs[3].wire_len, 1); // B2: ACK
         assert_eq!(out.transcript.total_bytes(), 491); // Table II: 491 B
-    }
-
-    #[test]
-    fn hinted_establish_matches_unhinted() {
-        // Same coordinator rng seed both ways ⇒ identical wire bytes
-        // and keys: the hint only removes redundant eq. (1) work.
-        let (a, b, _) = setup(106);
-        let cfg = StsConfig::default();
-        let hint_a = ReconstructionHint::compute(&b.cert, &a.ca_public).unwrap();
-        let hint_b = ReconstructionHint::compute(&a.cert, &b.ca_public).unwrap();
-        let mut rng1 = HmacDrbg::from_seed(0xCAFE);
-        let plain = establish(&a, &b, &cfg, &mut rng1).unwrap();
-        let mut rng2 = HmacDrbg::from_seed(0xCAFE);
-        let hinted =
-            establish_hinted(&a, &b, &cfg, &mut rng2, Some(&hint_a), Some(&hint_b)).unwrap();
-        assert_eq!(plain.initiator_key, hinted.initiator_key);
-        assert_eq!(plain.responder_key, hinted.responder_key);
-        assert_eq!(
-            plain.transcript.total_bytes(),
-            hinted.transcript.total_bytes()
-        );
-    }
-
-    #[test]
-    fn stale_hint_falls_back_to_fresh_reconstruction() {
-        // A hint computed for the WRONG certificate must not be used:
-        // the handshake still succeeds via the fallback path.
-        let (a, b, _) = setup(107);
-        let cfg = StsConfig::default();
-        let wrong_a = ReconstructionHint::compute(&a.cert, &a.ca_public).unwrap();
-        let wrong_b = ReconstructionHint::compute(&b.cert, &b.ca_public).unwrap();
-        let mut rng = HmacDrbg::from_seed(0xBEEF);
-        let out = establish_hinted(&a, &b, &cfg, &mut rng, Some(&wrong_a), Some(&wrong_b)).unwrap();
-        assert_eq!(out.initiator_key, out.responder_key);
     }
 
     #[test]

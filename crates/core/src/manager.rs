@@ -14,7 +14,7 @@
 //! handshake (cheap to demand here, because the DKD makes rekeying
 //! safe — no key material is shared between epochs).
 
-use crate::{establish_hinted, ReconstructionHint, SessionOutcome, StsConfig};
+use crate::{establish, StsConfig};
 use ecq_crypto::zeroize::Zeroize;
 use ecq_crypto::HmacDrbg;
 use ecq_proto::{Credentials, ProtocolError, SessionKey};
@@ -100,11 +100,6 @@ pub struct SessionManager {
     key: Option<SessionKey>,
     epoch: Option<EpochInfo>,
     rekey_count: u64,
-    // Cached eq. (1) evaluations `(for the initiator, for the
-    // responder)`: the same certificate pair recurs on every rekey of
-    // this relationship, so the reconstruction runs once per manager
-    // instead of twice per handshake.
-    hints: Option<(ReconstructionHint, ReconstructionHint)>,
 }
 
 impl SessionManager {
@@ -130,7 +125,6 @@ impl SessionManager {
             key: None,
             epoch: None,
             rekey_count: 0,
-            hints: None,
         }
     }
 
@@ -165,24 +159,7 @@ impl SessionManager {
             return Err(ProtocolError::Cert(ecq_cert::CertError::Expired));
         }
         let config = StsConfig { now, ..self.config };
-        // Lazily cache the eq. (1) reconstructions on the first rekey;
-        // every later epoch of this certificate pair reuses them.
-        if self.hints.is_none() {
-            let for_initiator = ReconstructionHint::compute(&self.peer.cert, &self.local.ca_public)
-                .map_err(ProtocolError::Cert)?;
-            let for_responder = ReconstructionHint::compute(&self.local.cert, &self.peer.ca_public)
-                .map_err(ProtocolError::Cert)?;
-            self.hints = Some((for_initiator, for_responder));
-        }
-        let (hint_a, hint_b) = self.hints.as_ref().expect("hints cached above");
-        let mut outcome: SessionOutcome = establish_hinted(
-            &self.local,
-            &self.peer,
-            &config,
-            &mut self.rng,
-            Some(hint_a),
-            Some(hint_b),
-        )?;
+        let mut outcome = establish(&self.local, &self.peer, &config, &mut self.rng)?;
         // The superseded epoch's key is dead from here on: wipe it.
         if let Some(old) = self.key.as_mut() {
             old.zeroize();
@@ -347,5 +324,25 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 8);
+    }
+
+    #[test]
+    fn cross_ca_pair_fails_closed() {
+        // Each side reconstructs its peer's key under its own trusted
+        // CA, so a pair certified by different CAs never gets a key.
+        let mut rng = HmacDrbg::from_seed(407);
+        let ca1 = CertificateAuthority::new(DeviceId::from_label("CA1"), &mut rng);
+        let ca2 = CertificateAuthority::new(DeviceId::from_label("CA2"), &mut rng);
+        let a =
+            Credentials::provision(&ca1, DeviceId::from_label("a"), 0, 100_000, &mut rng).unwrap();
+        let b =
+            Credentials::provision(&ca2, DeviceId::from_label("b"), 0, 100_000, &mut rng).unwrap();
+        let mut m = SessionManager::new(a, b, RekeyPolicy::default(), StsConfig::default(), rng);
+        assert_eq!(
+            m.key_for(0).unwrap_err(),
+            ProtocolError::AuthenticationFailed
+        );
+        assert!(m.epoch().is_none());
+        assert_eq!(m.rekey_count(), 0);
     }
 }

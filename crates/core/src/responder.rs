@@ -1,8 +1,6 @@
 //! The STS responder (BOB in the paper's Fig. 2).
 
-use crate::auth::{
-    auth_response, verify_response_hinted, ReconstructionHint, DIR_INITIATOR, DIR_RESPONDER,
-};
+use crate::auth::{auth_response, verify_response, DIR_INITIATOR, DIR_RESPONDER};
 use crate::{StsConfig, KDF_LABEL};
 use ecq_cert::ImplicitCert;
 use ecq_crypto::zeroize::Zeroize;
@@ -31,7 +29,6 @@ pub struct StsResponder {
     config: StsConfig,
     rng: HmacDrbg,
     ephemeral: Option<(Scalar, [u8; 64])>,
-    peer_hint: Option<ReconstructionHint>,
     peer_id: Option<Vec<u8>>,
     peer_xg: Option<[u8; 64]>,
     session: Option<SessionKey>,
@@ -48,24 +45,12 @@ impl StsResponder {
             config,
             rng: HmacDrbg::new(&rng.bytes32(), b"sts-responder-session"),
             ephemeral: None,
-            peer_hint: None,
             peer_id: None,
             peer_xg: None,
             session: None,
             state: State::AwaitA1,
             trace: OpTrace::new(),
         }
-    }
-
-    /// Installs a cached eq. (1) evaluation for the expected peer.
-    ///
-    /// When the initiator's certificate matches the hint, the Op2
-    /// public-key reconstruction is skipped (and not traced); a
-    /// mismatched hint silently falls back to the full reconstruction.
-    #[must_use]
-    pub fn with_peer_hint(mut self, hint: ReconstructionHint) -> Self {
-        self.peer_hint = Some(hint);
-        self
     }
 
     fn handle_a1(&mut self, msg: &Message) -> Result<StepOutput, ProtocolError> {
@@ -141,7 +126,7 @@ impl StsResponder {
         let xg_a = self.peer_xg.ok_or(ProtocolError::UnexpectedMessage)?;
         let (_, xg_b) = self.ephemeral.ok_or(ProtocolError::UnexpectedMessage)?;
 
-        verify_response_hinted(
+        verify_response(
             &ks,
             resp_a,
             &cert_a,
@@ -150,7 +135,6 @@ impl StsResponder {
             &xg_b,
             DIR_INITIATOR,
             &mut self.trace,
-            self.peer_hint.as_ref(),
         )?;
 
         self.state = State::Established;

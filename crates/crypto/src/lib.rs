@@ -11,8 +11,6 @@
 //! * [`aes`] — FIPS 197 AES-128 block cipher,
 //! * [`ctr`] — AES-128-CTR stream encryption (used for the encrypted STS
 //!   signature response, Algorithm 1 of the paper),
-//! * [`cmac`] — NIST SP 800-38B AES-CMAC (128-bit, as in the paper's
-//!   evaluation setup),
 //! * [`drbg`] — NIST SP 800-90A HMAC-DRBG, the deterministic randomness
 //!   source used for reproducible protocol simulation,
 //! * [`ct`] — constant-time comparison helpers,
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod aes;
-pub mod cmac;
 pub mod ct;
 pub mod ctr;
 pub mod drbg;

@@ -72,7 +72,7 @@ fn workspace_is_clean_under_committed_allowlists() {
     // entry counts are pinned as ceilings. Lower a pin when entries go
     // away; raising it needs a new audited site.
     const SECRET_FLOW_ALLOW_CEILING: usize = 10;
-    const PANIC_ALLOW_CEILING: usize = 25;
+    const PANIC_ALLOW_CEILING: usize = 24;
     for (file, ceiling) in [
         ("ci/ctlint_allow.toml", SECRET_FLOW_ALLOW_CEILING),
         ("ci/panic_allow.toml", PANIC_ALLOW_CEILING),

@@ -20,7 +20,7 @@ pub struct PrimitiveCosts {
     pub verify_ms: f64,
     /// One AES-128 block operation.
     pub aes_block_ms: f64,
-    /// One HMAC/CMAC tag over a short message.
+    /// One HMAC tag over a short message.
     pub mac_ms: f64,
     /// One HKDF session-key derivation.
     pub kdf_ms: f64,

@@ -14,12 +14,12 @@
 //! * [`point`] — affine/Jacobian group operations and scalar
 //!   multiplication, split into constant-schedule `*_ct` paths for
 //!   secret scalars and explicit `*_vartime` paths for public ones
-//!   (one width-5 wNAF ladder for variable bases; the wide comb for
+//!   (one width-5 wNAF ladder for variable bases; one 4-bit comb for
 //!   `k·G`),
 //! * [`ct`] — the mask/select/table-scan primitives under the `*_ct`
 //!   paths,
-//! * [`precomp`] — the fixed-base window table behind
-//!   [`point::mul_generator_ct`] / [`point::mul_generator_vartime`]
+//! * [`precomp`] — the one fixed-base comb behind both
+//!   [`point::mul_generator_ct`] and [`point::mul_generator_vartime`]
 //!   (no doublings per `k·G`),
 //! * [`encoding`] — SEC1 point (de)compression,
 //! * [`ecdsa`] — deterministic (RFC 6979) and randomized ECDSA,

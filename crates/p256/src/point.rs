@@ -13,12 +13,13 @@
 //!   4 doublings + 1 masked addition per window. Key generation, ECDH,
 //!   ECDSA signing and the ECQV secret paths use these.
 //! * **`*_vartime`** — faster, schedule leaks the scalar's digit
-//!   pattern: [`mul_generator_vartime`], [`AffinePoint::mul_vartime`]
-//!   (width-5 wNAF over an odd-multiples table) and
-//!   [`multi_scalar_mul`] (two interleaved wNAF terms sharing one
-//!   table inversion), both running the same private wNAF doubling
-//!   ladder. Only for public inputs: ECDSA verification, eq. (1)
-//!   public-key reconstruction, benches and attack simulations.
+//!   pattern: [`mul_generator_vartime`] (the same fixed-base table,
+//!   zero digits skipped), [`AffinePoint::mul_vartime`] (width-5 wNAF
+//!   over an odd-multiples table) and [`multi_scalar_mul`] (two
+//!   interleaved wNAF terms sharing one table inversion), the last two
+//!   running the same private wNAF doubling ladder. Only for public
+//!   inputs: ECDSA verification, eq. (1) public-key reconstruction,
+//!   benches and attack simulations.
 //!
 //! The op-counter (the `ops` module, compiled under `cfg(test)` or the
 //! `schedule-counters` feature) asserts the ct schedules are
@@ -89,11 +90,10 @@ pub mod ops {
 
     /// Runs `f` with zeroed counters and returns its result plus the
     /// group operations it performed on this thread. Forces the lazy
-    /// fixed-base tables first so their one-time builds are not
+    /// fixed-base table first so its one-time build is not
     /// attributed to `f`.
     pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Counts) {
         let _ = crate::precomp::generator_table();
-        let _ = crate::precomp::generator_table_wide();
         ADDS.with(|c| c.set(0));
         DOUBLES.with(|c| c.set(0));
         CT_ADDS.with(|c| c.set(0));
@@ -603,10 +603,10 @@ pub fn mul_generator_ct_jacobian(k: &Scalar) -> JacobianPoint {
 
 /// `k·G` for public `k` — the variable-time fixed-base path.
 ///
-/// Walks the *wide* 8-bit comb of [`crate::precomp`] and skips zero
-/// bytes, so at most 32 mixed additions, no doublings, and a schedule
-/// that leaks `k`'s byte pattern. Only for public scalars: the `u1`
-/// of ECDSA verification, benches and tests.
+/// Walks the 4-bit comb of [`crate::precomp`] and skips zero nibbles,
+/// so at most 64 mixed additions, no doublings, and a schedule that
+/// leaks `k`'s nibble pattern. Only for public scalars: the `u1` of
+/// ECDSA verification, benches and tests.
 pub fn mul_generator_vartime(k: &Scalar) -> AffinePoint {
     mul_generator_vartime_jacobian(k).to_affine()
 }
@@ -615,15 +615,12 @@ pub fn mul_generator_vartime(k: &Scalar) -> AffinePoint {
 /// for callers that amortize the inversion via [`batch_normalize`].
 pub fn mul_generator_vartime_jacobian(k: &Scalar) -> JacobianPoint {
     let kv = k.to_canonical();
-    if kv.is_zero() {
-        return JacobianPoint::identity();
-    }
-    let table = crate::precomp::generator_table_wide();
+    let table = crate::precomp::generator_table();
     let mut acc = JacobianPoint::identity();
-    for w in 0..crate::precomp::WIDE_WINDOWS {
-        let byte = kv.byte(w);
-        if byte != 0 {
-            acc = acc.add_affine(table.entry(w, byte));
+    for w in 0..crate::precomp::WINDOWS {
+        let digit = kv.nibble(w);
+        if digit != 0 {
+            acc = acc.add_affine(table.entry(w, digit));
         }
     }
     acc
@@ -1169,11 +1166,16 @@ mod tests {
     fn vartime_schedule_depends_on_scalar() {
         // Sanity check that the counter actually distinguishes the
         // vartime path: a sparse scalar performs fewer table additions.
+        // The comb walk adds one entry per nonzero nibble and never
+        // doubles.
         let dense = Scalar::from_u64(1).neg(); // n − 1: ~all nibbles set
         let sparse = Scalar::one();
         let (_, dense_counts) = ops::measure(|| mul_generator_vartime(&dense));
         let (_, sparse_counts) = ops::measure(|| mul_generator_vartime(&sparse));
         assert!(sparse_counts.adds < dense_counts.adds);
+        assert!(dense_counts.adds <= 64, "{dense_counts:?}");
+        assert_eq!(dense_counts.doubles, 0, "{dense_counts:?}");
+        assert_eq!(sparse_counts.adds, 1, "{sparse_counts:?}");
         assert_eq!(dense_counts.ct_adds, 0);
     }
 

@@ -6,69 +6,89 @@
 //! fixed generator. The generic double-and-add path pays ~252 doublings
 //! per call even though the base never changes.
 //!
-//! Two combs are kept, sized against the per-operation costs of the
-//! specialized field backend:
+//! One comb serves both fixed-base walks: `table[w][d-1] = d · 16^w · G`,
+//! 64 windows × 15 digits, ~70 KiB. It builds lazily on first use, is
+//! shared process-wide, and batch-normalizes its Jacobian multiples
+//! around a single shared field inversion
+//! ([`crate::point::batch_normalize`], Montgomery's trick).
 //!
-//! * the **4-bit comb** (`table[w][d-1] = d · 16^w · G`, 64 windows ×
-//!   15 digits, ~70 KiB) serves the *constant-time* walk. Its lookup
-//!   scans every entry of a window, so the scan cost grows with `2^w`
-//!   while the savings per extra width bit shrink — with the cheap
-//!   specialized additions, 4 bits remains the measured optimum (an
-//!   8-bit ct scan would touch 255 entries per masked add and lose
-//!   outright);
-//! * the **8-bit wide comb** (`d · 256^w · G`, 32 windows × 255
-//!   digits, ~560 KiB) serves the *variable-time* walk, which indexes
-//!   digits directly: halving the window count halves the additions,
-//!   and the scan argument does not apply. ECDSA verification's `u1`
-//!   rides this table.
-//!
-//! Both tables build lazily on first use and are shared process-wide;
-//! each build batch-normalizes its Jacobian multiples around a single
-//! shared field inversion ([`crate::point::batch_normalize`],
-//! Montgomery's trick). A process that only ever runs secret-scalar
-//! paths never pays for the wide comb.
+//! * The *constant-time* walk ([`crate::point::mul_generator_ct`])
+//!   scans every entry of a window per masked addition, so the scan
+//!   cost grows with `2^w` while the savings per extra width bit
+//!   shrink. With the specialized backend's cheap additions, 4 bits is
+//!   the measured optimum; an 8-bit ct scan would touch 255 entries
+//!   per masked add and lose outright.
+//! * The *variable-time* walk ([`crate::point::mul_generator_vartime`])
+//!   indexes digits directly and skips zero nibbles: at most 64 mixed
+//!   additions, no doublings. ECDSA verification's `u1` rides it. An
+//!   8-bit comb halved the additions (~11 µs per `u1·G`) but cost a
+//!   6 ms build and ~1.75 MiB of peak resident memory, so it was
+//!   deleted.
 //!
 //! **Why ECDSA verification uses the comb.** Verification computes
 //! `u1·G + u2·Q`. Its one path runs two separate multiplications: the
-//! comb-backed `u1·G` (31 additions, zero doublings) plus one wNAF
-//! `u2·Q`. One interleaved `u1·G + u2·Q` ladder
-//! ([`crate::point::multi_scalar_mul`]) would share `u2·Q`'s doublings
-//! but drag `u1·G` through all ~256 of them, because a shared ladder
-//! cannot ride a fixed-base comb. Measured on a 2-vCPU x86-64
-//! container, the interleaved ladder lost every run (248.6 µs against
-//! 227.1 µs in one `bench_p256` run), so it was deleted as a verify
-//! path.
+//! comb-backed `u1·G` (no doublings) plus one wNAF `u2·Q`. One
+//! interleaved `u1·G + u2·Q` ladder ([`crate::point::multi_scalar_mul`])
+//! would share `u2·Q`'s doublings but drag `u1·G` through all ~256 of
+//! them, because a shared ladder cannot ride a fixed-base comb. The
+//! interleaved ladder was deleted as a verify path after it lost every
+//! run against the since-deleted 8-bit comb (248.6 µs against 227.1 µs
+//! in one `bench_p256` run, 2-vCPU x86-64 container). On the 4-bit
+//! comb the margin narrows but holds: over 64 random `(u1, u2, Q)`
+//! inputs, 3 × 9 interleaved rounds on the same container, the
+//! separate form took 193 µs median against 201 µs for the
+//! interleaved ladder and won 25 of 27 rounds (`u1·G` alone: ~30 µs).
 
 use crate::point::{batch_normalize, AffinePoint, JacobianPoint};
 use std::sync::OnceLock;
 
-/// Number of 4-bit windows covering a 256-bit scalar (ct comb).
+/// Number of 4-bit windows covering a 256-bit scalar.
 pub const WINDOWS: usize = 64;
 /// Non-zero digits per 4-bit window.
 pub const DIGITS: usize = 15;
 
-/// Number of 8-bit windows covering a 256-bit scalar (wide comb).
-pub const WIDE_WINDOWS: usize = 32;
-/// Non-zero digits per 8-bit window.
-pub const WIDE_DIGITS: usize = 255;
-
-/// The constant-time comb: `table[w][d-1] = d · 16^w · G`.
+/// The fixed-base comb: `table[w][d-1] = d · 16^w · G`.
 pub struct GeneratorTable {
     windows: Vec<[AffinePoint; DIGITS]>,
 }
 
 impl GeneratorTable {
+    /// Builds `windows[w][d-1] = d · 16^w · G` from doublings and
+    /// additions, normalized to affine around one shared inversion.
     fn build() -> Self {
-        GeneratorTable {
-            windows: build_comb::<DIGITS>(WINDOWS),
+        let mut jac: Vec<JacobianPoint> = Vec::with_capacity(WINDOWS * DIGITS);
+        let mut base = JacobianPoint::from_affine(&AffinePoint::generator());
+        for _ in 0..WINDOWS {
+            let start = jac.len();
+            jac.push(base); // 1·base
+            for d in 2..=DIGITS {
+                let next = if d % 2 == 0 {
+                    jac[start + d / 2 - 1].double()
+                } else {
+                    jac[start + d - 2].add(&base)
+                };
+                jac.push(next);
+            }
+            // 16·base = 2·(8·base) feeds the next window.
+            base = jac[start + 7].double();
         }
+        let windows = batch_normalize(&jac)
+            .chunks_exact(DIGITS)
+            .map(|chunk| {
+                let mut w = [AffinePoint::identity(); DIGITS];
+                w.copy_from_slice(chunk);
+                w
+            })
+            .collect();
+        GeneratorTable { windows }
     }
 
     /// The precomputed point `d · 16^w · G` (`d ∈ [1, 15]`).
     ///
+    /// Direct indexing, for the vartime walk over *public* digits.
     /// Indexing by a secret digit leaks it through the data cache; the
-    /// constant-time fixed-base walk uses [`Self::window`] with a full
-    /// masked scan instead.
+    /// constant-time walk uses [`Self::window`] with a full masked scan
+    /// instead.
     #[inline]
     pub fn entry(&self, window: usize, digit: u8) -> &AffinePoint {
         debug_assert!((1..=DIGITS as u8).contains(&digit));
@@ -83,70 +103,10 @@ impl GeneratorTable {
     }
 }
 
-/// The wide variable-time comb: `table[w][d-1] = d · 256^w · G`.
-pub struct WideGeneratorTable {
-    windows: Vec<[AffinePoint; WIDE_DIGITS]>,
-}
-
-impl WideGeneratorTable {
-    fn build() -> Self {
-        WideGeneratorTable {
-            windows: build_comb::<WIDE_DIGITS>(WIDE_WINDOWS),
-        }
-    }
-
-    /// The precomputed point `d · 256^w · G` (`d ∈ [1, 255]`).
-    ///
-    /// Direct indexing — only for *public* scalar digits (the vartime
-    /// fixed-base walk).
-    #[inline]
-    pub fn entry(&self, window: usize, digit: u8) -> &AffinePoint {
-        debug_assert!(digit >= 1);
-        &self.windows[window][digit as usize - 1]
-    }
-}
-
-/// Builds a comb of `windows` windows with `D` nonzero digits each:
-/// `out[w][d-1] = d · (D+1)^w · G`, normalized to affine around one
-/// shared inversion.
-fn build_comb<const D: usize>(windows: usize) -> Vec<[AffinePoint; D]> {
-    let mut jac: Vec<JacobianPoint> = Vec::with_capacity(windows * D);
-    let mut base = JacobianPoint::from_affine(&AffinePoint::generator());
-    for _ in 0..windows {
-        let start = jac.len();
-        jac.push(base); // 1·base
-        for d in 2..=D {
-            let next = if d % 2 == 0 {
-                jac[start + d / 2 - 1].double()
-            } else {
-                jac[start + d - 2].add(&base)
-            };
-            jac.push(next);
-        }
-        // (D+1)·base = 2·(((D+1)/2)·base) feeds the next window.
-        base = jac[start + D.div_ceil(2) - 1].double();
-    }
-    let affine = batch_normalize(&jac);
-    affine
-        .chunks_exact(D)
-        .map(|chunk| {
-            let mut w = [AffinePoint::identity(); D];
-            w.copy_from_slice(chunk);
-            w
-        })
-        .collect()
-}
-
-/// The shared process-wide ct comb, built on first use.
+/// The shared process-wide comb, built on first use.
 pub fn generator_table() -> &'static GeneratorTable {
     static TABLE: OnceLock<GeneratorTable> = OnceLock::new();
     TABLE.get_or_init(GeneratorTable::build)
-}
-
-/// The shared process-wide wide comb, built on first use.
-pub fn generator_table_wide() -> &'static WideGeneratorTable {
-    static TABLE: OnceLock<WideGeneratorTable> = OnceLock::new();
-    TABLE.get_or_init(WideGeneratorTable::build)
 }
 
 #[cfg(test)]
@@ -154,10 +114,11 @@ mod tests {
     use super::*;
     use crate::scalar::Scalar;
 
-    fn digit_scalar(d: u64, radix: u64, w: usize) -> Scalar {
+    /// `d · 16^w` as a scalar.
+    fn digit_scalar(d: u64, w: usize) -> Scalar {
         let mut scalar = Scalar::from_u64(d);
         for _ in 0..w {
-            scalar = scalar.mul(&Scalar::from_u64(radix));
+            scalar = scalar.mul(&Scalar::from_u64(16));
         }
         scalar
     }
@@ -171,28 +132,7 @@ mod tests {
         for &(w, d) in &[(0usize, 1u8), (0, 15), (1, 1), (1, 9), (7, 3), (63, 15)] {
             assert_eq!(
                 *table.entry(w, d),
-                g.mul_vartime(&digit_scalar(d as u64, 16, w)),
-                "window {w} digit {d}"
-            );
-        }
-    }
-
-    #[test]
-    fn wide_table_entries_match_generic_mul() {
-        let g = AffinePoint::generator();
-        let table = generator_table_wide();
-        for &(w, d) in &[
-            (0usize, 1u8),
-            (0, 255),
-            (1, 1),
-            (1, 254),
-            (7, 3),
-            (15, 129),
-            (31, 255),
-        ] {
-            assert_eq!(
-                *table.entry(w, d),
-                g.mul_vartime(&digit_scalar(d as u64, 256, w)),
+                g.mul_vartime(&digit_scalar(d as u64, w)),
                 "window {w} digit {d}"
             );
         }
@@ -205,19 +145,6 @@ mod tests {
             for d in 1..=DIGITS as u8 {
                 let p = table.entry(w, d);
                 assert!(p.is_on_curve() && !p.infinity);
-            }
-        }
-    }
-
-    #[test]
-    fn wide_entries_sampled_on_curve() {
-        // The full wide comb has 8160 entries; a strided sample keeps
-        // the test fast while still covering every window.
-        let table = generator_table_wide();
-        for w in 0..WIDE_WINDOWS {
-            for d in [1u8, 2, 17, 128, 255] {
-                let p = table.entry(w, d);
-                assert!(p.is_on_curve() && !p.infinity, "window {w} digit {d}");
             }
         }
     }

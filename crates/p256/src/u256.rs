@@ -132,13 +132,6 @@ impl U256 {
         ((self.limbs[i / 16] >> (4 * (i % 16))) & 0xf) as u8
     }
 
-    /// Extracts byte `i` (0 = least significant; the 8-bit window of
-    /// the wide fixed-base comb).
-    pub fn byte(&self, i: usize) -> u8 {
-        assert!(i < 32, "byte index out of range");
-        (self.limbs[i / 8] >> (8 * (i % 8))) as u8
-    }
-
     /// `self + rhs`, returning the sum and the carry-out bit.
     pub fn adc(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];

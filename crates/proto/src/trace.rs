@@ -65,9 +65,9 @@ pub enum PrimitiveOp {
         /// Number of 16-byte blocks processed.
         blocks: usize,
     },
-    /// HMAC/CMAC tag generation.
+    /// HMAC tag generation.
     MacTag,
-    /// HMAC/CMAC tag verification.
+    /// HMAC tag verification.
     MacVerify,
     /// Session-key KDF invocation (HKDF, eq. (4)).
     Kdf,
